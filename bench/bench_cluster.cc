@@ -7,11 +7,10 @@
 //      the load-imbalance ratio (max per-machine served over the perfect
 //      share) stays near 1 under the feedback router.
 //   2. The determinism contract is free to assert: each M's scenario runs
-//      three times — twice single-threaded and once with every node's dispatch
-//      rounds fanned over 4 host threads — and every per-machine trace hash
-//      must match (RR_CHECK'd here, reported as trace_equal, gated by
-//      scripts/check_cluster_scale.py). The M=1 row is additionally pinned
-//      bit-identical to a bare RunWebFarmScenario (m1_equal_bare).
+//      twice and every per-machine trace hash must match (RR_CHECK'd here,
+//      reported as trace_equal, gated by scripts/check_cluster_scale.py). The
+//      M=1 row is additionally pinned bit-identical to a bare
+//      RunWebFarmScenario (m1_equal_bare).
 //   3. The layer costs nothing at degenerate scale: M=1 is the identity.
 //
 // A configuration smoke then builds a ~2M-simulated-thread cluster (512
@@ -44,12 +43,11 @@ namespace {
 constexpr uint64_t kSeed = 99;
 constexpr double kLoadRatio = 0.9;  // Of the whole cluster's saturation rate.
 
-ClusterFarmParams SweepParams(int machines, int host_threads) {
+ClusterFarmParams SweepParams(int machines) {
   ClusterFarmParams params;
   params.num_machines = machines;
   params.farm.num_cpus = 2;
   params.farm.num_workers = 4;
-  params.farm.host_threads = host_threads;
   params.farm.run_for = Duration::Millis(1000);
   params.farm.arrivals.seed = kSeed;
   params.farm.arrivals.requests_per_sec = kLoadRatio * ClusterFarmCapacityRps(params);
@@ -67,10 +65,9 @@ Cell Measure(int machines) {
   Cell cell;
   cell.wall_sec = 1e30;
   bool first = true;
-  // Two sequential runs (determinism across runs) plus one 4-host-thread run
-  // (the parallel engine is a wall-clock optimization, never a schedule change).
-  for (const int host_threads : {1, 1, 4}) {
-    const ClusterFarmParams params = SweepParams(machines, host_threads);
+  // Two runs of the same scenario: the re-run must reproduce every trace exactly.
+  for (int run = 0; run < 2; ++run) {
+    const ClusterFarmParams params = SweepParams(machines);
     const auto start = std::chrono::steady_clock::now();
     const ClusterFarmResult result = RunClusterFarmScenario(params);
     const double wall =
@@ -83,16 +80,14 @@ Cell Measure(int machines) {
       RR_CHECK(result.machine_trace_hashes == cell.result.machine_trace_hashes);
       RR_CHECK(result.served == cell.result.served);
       RR_CHECK(result.rebalanced == cell.result.rebalanced);
-      if (host_threads == 1) {
-        cell.wall_sec = std::min(cell.wall_sec, wall);
-      }
+      cell.wall_sec = std::min(cell.wall_sec, wall);
     }
   }
   cell.trace_equal = true;  // The RR_CHECKs above abort on divergence.
   if (machines == 1) {
     // The degenerate cluster is pinned bit-identical to a bare machine running
     // the identical farm: the layer may add only trace-free epoch fences.
-    const WebFarmResult bare = RunWebFarmScenario(SweepParams(1, 1).farm);
+    const WebFarmResult bare = RunWebFarmScenario(SweepParams(1).farm);
     cell.m1_equal_bare = cell.result.machine_trace_hashes.size() == 1 &&
                          cell.result.machine_trace_hashes[0] == bare.trace_hash &&
                          cell.result.served == bare.served;
@@ -108,7 +103,7 @@ void PrintClusterSweep() {
       "Cluster scale-out (2-core/4-worker nodes, feedback router, Poisson\n"
       "arrivals at 0.9x of the cluster's saturation rate, 1 s virtual) at\n"
       "M=1/4/16 machines; per-machine trace hashes RR_CHECK'd equal across\n"
-      "re-runs and at 4 host threads, M=1 pinned to the bare machine");
+      "re-runs, M=1 pinned to the bare machine");
   std::printf("  host cpus: %d\n\n", host_cpus);
   std::printf("  %8s %8s %8s %11s %10s %10s %9s %9s %11s %13s\n", "machines", "offered",
               "served", "goodput_rps", "imbalance", "rebalanced", "p50_ms", "p99_ms",
@@ -182,7 +177,7 @@ void PrintClusterSmoke() {
 
 void BM_ClusterRoundtrip(benchmark::State& state) {
   const int machines = static_cast<int>(state.range(0));
-  ClusterFarmParams params = SweepParams(machines, 1);
+  ClusterFarmParams params = SweepParams(machines);
   params.farm.run_for = Duration::Millis(100);
   params.farm.arrivals.requests_per_sec = kLoadRatio * ClusterFarmCapacityRps(params);
   for (auto _ : state) {

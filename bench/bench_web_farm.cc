@@ -3,9 +3,9 @@
 // to 2x of the farm's saturation rate. One table, three claims:
 //
 //   1. Determinism is free to assert: each ratio's stream is materialized once,
-//      then replayed three times — twice single-threaded and once at 4 host
-//      threads — and every run must produce the same trace hash (RR_CHECK'd here,
-//      reported as the trace_equal column, and gated by scripts/check_web_farm.py).
+//      then replayed twice, and both runs must produce the same trace hash
+//      (RR_CHECK'd here, reported as the trace_equal column, and gated by
+//      scripts/check_web_farm.py).
 //   2. Overload shows up as admission drops, not collapse: the feedback allocator
 //      targets half-full queues, so steady-state latency is pinned near the
 //      half-queue backlog at every load while the drop fraction climbs with the
@@ -36,11 +36,10 @@ namespace {
 constexpr uint64_t kSeed = 99;
 constexpr int kCpus = 4;
 
-WebFarmParams FarmParams(int host_threads) {
+WebFarmParams FarmParams() {
   WebFarmParams params;
   params.num_cpus = kCpus;
   params.num_workers = 8;
-  params.host_threads = host_threads;
   params.run_for = Duration::Millis(1000);
   return params;
 }
@@ -48,7 +47,7 @@ WebFarmParams FarmParams(int host_threads) {
 // One offered-load ratio's stream: the same seed at every ratio, so the sweep
 // varies only the rate, never the shape of the randomness.
 std::vector<RequestRecord> StreamAt(double ratio) {
-  WebFarmParams sizing = FarmParams(1);
+  WebFarmParams sizing = FarmParams();
   ArrivalConfig config;
   config.seed = kSeed;
   config.requests_per_sec = ratio * WebFarmCapacityRps(sizing);
@@ -66,10 +65,9 @@ Cell Measure(double ratio) {
   Cell cell;
   cell.wall_sec = 1e30;
   uint64_t reference_hash = 0;
-  // Two sequential runs (determinism across runs) plus one 4-host-thread run
-  // (the parallel engine is a wall-clock optimization, never a schedule change).
-  for (const int host_threads : {1, 1, 4}) {
-    WebFarmParams params = FarmParams(host_threads);
+  // Two runs of the same stream: the re-run must reproduce the trace exactly.
+  for (int run = 0; run < 2; ++run) {
+    WebFarmParams params = FarmParams();
     params.replay = stream;
     const auto start = std::chrono::steady_clock::now();
     const WebFarmResult result = RunWebFarmScenario(params);
@@ -82,9 +80,7 @@ Cell Measure(double ratio) {
     } else {
       RR_CHECK(result.trace_hash == reference_hash);
       RR_CHECK(result.served == cell.result.served);
-      if (host_threads == 1) {
-        cell.wall_sec = std::min(cell.wall_sec, wall);
-      }
+      cell.wall_sec = std::min(cell.wall_sec, wall);
     }
   }
   cell.trace_equal = true;  // The RR_CHECKs above abort on divergence.
@@ -97,7 +93,7 @@ void PrintWebFarmSweep() {
   bench::PrintHeader(
       "Open-loop web farm (4 simulated cores, 8 workers, Poisson arrivals, 1 s\n"
       "virtual) swept from 0.5x to 2x of saturation; every row's trace hash is\n"
-      "RR_CHECK'd equal across re-runs and at 4 host threads");
+      "RR_CHECK'd equal across re-runs");
   std::printf("  host cpus: %d\n\n", host_cpus);
   std::printf("  %6s %8s %8s %7s %9s %9s %9s %9s %7s %11s\n", "ratio", "offered",
               "served", "drops", "drop_frac", "p50_ms", "p99_ms", "p999_ms", "user",
@@ -132,8 +128,7 @@ void PrintWebFarmSweep() {
 }
 
 void BM_WebFarmRoundtrip(benchmark::State& state) {
-  const int host_threads = static_cast<int>(state.range(0));
-  WebFarmParams params = FarmParams(host_threads);
+  WebFarmParams params = FarmParams();
   params.run_for = Duration::Millis(100);
   params.arrivals.seed = kSeed;
   params.arrivals.requests_per_sec = WebFarmCapacityRps(params);
@@ -141,9 +136,8 @@ void BM_WebFarmRoundtrip(benchmark::State& state) {
     const WebFarmResult result = RunWebFarmScenario(params);
     benchmark::DoNotOptimize(result.trace_hash);
   }
-  state.counters["host_threads"] = static_cast<double>(host_threads);
 }
-BENCHMARK(BM_WebFarmRoundtrip)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WebFarmRoundtrip)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace realrate

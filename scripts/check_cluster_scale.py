@@ -4,11 +4,10 @@
 Runs bench_cluster, parses its machine-readable `CLUSTER machines=...` rows
 (one per cluster width) and the `CLUSTER_SMOKE ...` line, and fails when any
 of:
-  - trace_equal != 1 on any row — a re-run or the 4-host-thread run diverged
-    from the reference per-machine trace hashes. Gated UNCONDITIONALLY:
-    determinism does not depend on how many CPUs the runner has. (The bench
-    RR_CHECKs this too; the gate catches a build where asserts are compiled
-    out.)
+  - trace_equal != 1 on any row — the re-run diverged from the reference
+    per-machine trace hashes. Gated UNCONDITIONALLY: determinism does not
+    depend on how many CPUs the runner has. (The bench RR_CHECKs this too; the
+    gate catches a build where asserts are compiled out.)
   - m1_equal_bare != 1 — the degenerate M=1 cluster diverged from a bare
     machine running the identical farm, breaking the layer's identity pin.
   - a row served nothing, or its percentile columns are out of order.
@@ -87,8 +86,8 @@ def main() -> int:
     for row in rows:
         machines = int(row["machines"])
         if row["trace_equal"] != 1:
-            failures.append(f"M={machines}: trace_equal != 1 — a re-run or the "
-                            "4-host-thread run diverged from the reference trace")
+            failures.append(f"M={machines}: trace_equal != 1 — the re-run "
+                            "diverged from the reference trace")
         if row["m1_equal_bare"] != 1:
             failures.append(f"M={machines}: the degenerate cluster diverged from "
                             "the bare machine (m1_equal_bare != 1)")

@@ -3,10 +3,10 @@
 
 Runs bench_web_farm, parses its machine-readable `WEB_FARM ratio=...` rows
 (one per offered-load ratio), and fails when any of:
-  - trace_equal != 1 on any row — a re-run or the 4-host-thread run diverged
-    from the reference trace. Gated UNCONDITIONALLY: determinism does not
-    depend on how many CPUs the runner has. (The bench RR_CHECKs this too; the
-    gate catches a build where asserts are compiled out.)
+  - trace_equal != 1 on any row — the re-run diverged from the reference
+    trace. Gated UNCONDITIONALLY: determinism does not depend on how many CPUs
+    the runner has. (The bench RR_CHECKs this too; the gate catches a build
+    where asserts are compiled out.)
   - a row's percentile columns are out of order (p50 <= p99 <= p999) or it
     served nothing.
   - the sweep lost its overload shape: the drop fraction must rise from the
@@ -68,8 +68,8 @@ def main() -> int:
     for row in rows:
         ratio = row["ratio"]
         if row["trace_equal"] != 1:
-            failures.append(f"ratio {ratio}: trace_equal != 1 — re-run or parallel "
-                            "run diverged from the reference trace")
+            failures.append(f"ratio {ratio}: trace_equal != 1 — the re-run "
+                            "diverged from the reference trace")
         if not row["p50_ms"] <= row["p99_ms"] <= row["p999_ms"]:
             failures.append(f"ratio {ratio}: percentiles out of order "
                             f"(p50={row['p50_ms']} p99={row['p99_ms']} "

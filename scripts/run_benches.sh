@@ -30,7 +30,6 @@ BENCHES=(
   bench_fig6_responsiveness
   bench_fig7_load
   bench_fig8_dispatch_overhead
-  bench_parallel_engine
   bench_smp_scale
   bench_thread_slabs
   bench_web_farm

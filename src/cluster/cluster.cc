@@ -25,10 +25,9 @@ void Cluster::RunFor(Duration d) {
   while (Now() < end) {
     const Duration remaining = end - Now();
     const Duration step = remaining < config_.epoch ? remaining : config_.epoch;
-    // Fence first: every node settles idle fast-forward at the boundary and
-    // asserts no dispatch round is in flight, so the hook's cross-machine reads
-    // and mutations observe exactly the state a continuously ticking machine
-    // would show.
+    // Fence first: every node settles idle fast-forward at the boundary, so the
+    // hook's cross-machine reads and mutations observe exactly the state a
+    // continuously ticking machine would show.
     for (auto& node : nodes_) {
       node->machine().EpochFence(node->sim().Now());
     }

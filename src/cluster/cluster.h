@@ -6,12 +6,12 @@
 // controller. The cluster never reaches into a node mid-epoch; all cross-machine
 // observation and mutation (the router's signal reads, request injection, the
 // cross-machine rebalancer's migrations) happen at epoch boundaries, after every
-// node's `Machine::EpochFence` has asserted quiescence and settled idle
-// fast-forward. This is the parallel engine's round contract applied one level
-// up: within an epoch a machine is alone in the world, so each node's trace is
-// exactly the trace a standalone machine with the same inputs would produce —
-// bit-identical at any `host_threads`, and (for M = 1) bit-identical to a bare
-// Machine run of the same workload.
+// node's `Machine::EpochFence` has settled idle fast-forward. Within an epoch a
+// machine is alone in the world, so each node's trace is exactly the trace a
+// standalone machine with the same inputs would produce, and (for M = 1)
+// bit-identical to a bare Machine run of the same workload.
+//
+// Thread-safety: none. The nodes step one after another on the calling thread.
 //
 // The node clocks stay aligned by construction: every node starts at the origin
 // and every node steps by the same epoch quantum.

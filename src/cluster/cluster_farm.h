@@ -8,7 +8,7 @@
 // produce.
 //
 // Determinism contract (tests/cluster_test.cc, scripts/check_cluster_scale.py):
-// same params ⇒ bit-identical per-machine trace hashes at any host_threads; and
+// same params ⇒ bit-identical per-machine trace hashes on every run; and
 // num_machines = 1 is pinned bit-identical to RunWebFarmScenario with the same
 // WebFarmParams. To keep the M = 1 pin exact, the degenerate cluster hands the
 // whole stream to the node's own injector up front (routing to one machine is

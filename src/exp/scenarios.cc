@@ -429,12 +429,8 @@ SmpResult RunSmpPipelinesScenario(const SmpParams& params) {
 
 ServerFarmResult RunServerFarmScenario(const ServerFarmParams& params) {
   RR_EXPECTS(params.num_cpus >= 1);
-  // A pure-hog farm (num_pipelines == 0) is a valid configuration: it is the
-  // all-rounds-gated workload bench_parallel_engine uses to isolate the parallel
-  // engine's scaling from pipeline wake traffic.
-  RR_EXPECTS(params.num_pipelines >= 0);
+  RR_EXPECTS(params.num_pipelines >= 1);
   RR_EXPECTS(params.num_hogs >= 0);
-  RR_EXPECTS(2 * params.num_pipelines + params.num_hogs >= 1);
   // Period spread: many distinct rate-monotonic ranks (and EDF deadlines) so the
   // indexed run queues are exercised with real ordering work, not one bucket.
   static constexpr int64_t kPeriodSpreadMs[] = {5, 8, 10, 12, 16, 20, 25, 32, 40};
@@ -491,8 +487,6 @@ ServerFarmResult RunServerFarmScenario(const ServerFarmParams& params) {
   result.context_switches = system.machine().context_switches();
   result.migrations = system.machine().migrations();
   result.idle_suspensions = system.machine().idle_suspensions();
-  result.parallel_rounds = system.machine().parallel_rounds();
-  result.mailbox_rounds = system.machine().mailbox_rounds();
   const auto per_core_capacity =
       static_cast<double>(system.sim().cpu().DurationToCycles(params.run_for));
   result.aggregate_user_fraction =

@@ -264,9 +264,7 @@ struct ServerFarmParams {
   // (production) vs the pre-slab SimThread pointer chase — bench_dispatch_scale's
   // A/B axis, and the golden slab-equivalence test's two sides.
   bool thread_slabs = true;
-  // Host OS threads driving the simulated cores (MachineConfig::host_threads).
-  // Any value produces the same trace hash — bench_parallel_engine's scaling axis
-  // and the 1-vs-N equivalence tests' knob.
+  // Must be 1; stays only for perfbench/rrbench.cc, goes with the next benchmark change.
   int host_threads = 1;
 };
 
@@ -280,11 +278,6 @@ struct ServerFarmResult {
   int64_t context_switches = 0;
   int64_t migrations = 0;
   int64_t idle_suspensions = 0;
-  // Tick rounds the parallel engine actually fanned out (0 at host_threads = 1).
-  int64_t parallel_rounds = 0;
-  // The subset of parallel_rounds admitted through the mailbox gate (rounds whose
-  // queue operations ran against pre-reserved stakes rather than hog-only work).
-  int64_t mailbox_rounds = 0;
   double aggregate_user_fraction = 0.0;
   int64_t total_consumed_bytes = 0;
   int64_t squish_events = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -190,8 +189,6 @@ void FillOutcome(RunOutcome& outcome, const Simulator& sim, const Machine& machi
   outcome.user_cycles = sim.UsedAllCpus(CpuUse::kUser);
   outcome.cycles_per_tick = machine.cycles_per_tick();
   outcome.dispatches = machine.dispatches();
-  outcome.parallel_rounds = machine.parallel_rounds();
-  outcome.mailbox_rounds = machine.mailbox_rounds();
   for (const SimThread* t : threads.All()) {
     outcome.total_progress += t->progress_units();
   }
@@ -231,21 +228,16 @@ RunOutcome RunWorkload(const WorkloadSpec& spec, const RunOptions& options) {
     config.controller.use_pipeline = options.controller_use_pipeline;
     config.controller.shadow_check = options.controller_shadow_check;
     config.machine.idle_fast_forward = options.machine_idle_fast_forward;
-    config.machine.host_threads = options.host_threads;
     config.thread_slabs = options.thread_slabs;
     System system(config);
     system.sim().trace().SetEnabled(true);
-    if (options.attach_oracle) {
-      oracle.Observe(system);
-    }
+    oracle.Observe(system);
     WorkloadRuntime runtime;
     BuildWorkload(spec, system.threads(), system.queues(), system.machine(),
                   &system.controller(), runtime);
     system.Start();
     system.RunFor(run_for);
-    if (options.attach_oracle) {
-      oracle.FinishRun(system.machine(), system.sim().Now());
-    }
+    oracle.FinishRun(system.machine(), system.sim().Now());
     FillOutcome(outcome, system.sim(), system.machine(), system.threads(), oracle, spec,
                 options);
     for (CpuId core = 0; core < system.num_cpus(); ++core) {
@@ -264,7 +256,6 @@ RunOutcome RunWorkload(const WorkloadSpec& spec, const RunOptions& options) {
   Simulator sim(cpu_config, num_cpus);
   MachineConfig machine_config;
   machine_config.idle_fast_forward = options.machine_idle_fast_forward;
-  machine_config.host_threads = options.host_threads;
   ThreadRegistry threads(options.thread_slabs);
   QueueRegistry queues;
   std::vector<std::unique_ptr<Scheduler>> schedulers;
@@ -277,16 +268,12 @@ RunOutcome RunWorkload(const WorkloadSpec& spec, const RunOptions& options) {
   }
   Machine machine(sim, std::move(raw), threads, machine_config);
   sim.trace().SetEnabled(true);
-  if (options.attach_oracle) {
-    oracle.Observe(machine, &queues);
-  }
+  oracle.Observe(machine, &queues);
   WorkloadRuntime runtime;
   BuildWorkload(spec, threads, queues, machine, /*controller=*/nullptr, runtime);
   machine.Start();
   machine.RunFor(run_for);
-  if (options.attach_oracle) {
-    oracle.FinishRun(machine, sim.Now());
-  }
+  oracle.FinishRun(machine, sim.Now());
   FillOutcome(outcome, sim, machine, threads, oracle, spec, options);
   return outcome;
 }
@@ -353,25 +340,8 @@ void CheckClusterSeed(const WorkloadSpec& spec, SeedReport& report) {
     }
   }
 
-  // (b) Host-thread invariance at the drawn width: fanning each node's dispatch
-  // rounds over 4 OS threads must leave every per-machine trace hash (and the
-  // routed/served outcome) bit-identical.
+  // (b) Rerun stability: the scenario is a pure function of its parameters.
   const ClusterFarmResult base = RunClusterFarmScenario(params);
-  {
-    ClusterFarmParams fanned = params;
-    fanned.farm.host_threads = 4;
-    const ClusterFarmResult wide = RunClusterFarmScenario(fanned);
-    if (wide.machine_trace_hashes != base.machine_trace_hashes ||
-        wide.served != base.served || wide.rebalanced != base.rebalanced) {
-      report.failures.push_back(
-          "cluster host-thread equivalence: host_threads 1 and 4 diverged (cluster hash " +
-          std::to_string(base.cluster_hash) + " vs " + std::to_string(wide.cluster_hash) +
-          ", served " + std::to_string(base.served) + " vs " +
-          std::to_string(wide.served) + ")");
-    }
-  }
-
-  // (c) Rerun stability: the scenario is a pure function of its parameters.
   {
     const ClusterFarmResult again = RunClusterFarmScenario(params);
     if (again.cluster_hash != base.cluster_hash || again.served != base.served ||
@@ -493,42 +463,6 @@ SeedReport CheckSeed(uint64_t seed, const SeedCheckOptions& options) {
           std::to_string(feedback_trace_hash) + " vs " + std::to_string(indexed.trace_hash) +
           ", dispatches " + std::to_string(feedback_dispatches) + " vs " +
           std::to_string(indexed.dispatches) + ")");
-    }
-  }
-
-  // 1e. Host-thread equivalence: the feedback machine with its dispatch rounds
-  // fanned out over N OS threads must reproduce the single-threaded trace bit for
-  // bit, at every N. Both sides run WITHOUT the oracle attached — an installed
-  // checker pins the machine to the sequential path (its hooks observe mid-round
-  // state), so the 1-thread base here is re-run oracle-free rather than reusing the
-  // pass-1 hash. The widths are 2 (the smallest parallel engine) and the host's
-  // hardware concurrency (or SeedCheckOptions::equivalence_host_threads).
-  {
-    RunOptions base;
-    base.attach_oracle = false;
-    base.collect_trace_dump = options.collect_trace_dump;
-    const RunOutcome one = RunWorkload(spec, base);
-    const int wide =
-        options.equivalence_host_threads > 0
-            ? options.equivalence_host_threads
-            : static_cast<int>(std::max(2u, std::thread::hardware_concurrency()));
-    const int widths[] = {2, wide};
-    for (int i = 0; i < (wide > 2 ? 2 : 1); ++i) {
-      const int host_threads = widths[i];
-      RunOptions fanned = base;
-      fanned.host_threads = host_threads;
-      const RunOutcome many = RunWorkload(spec, fanned);
-      report.equivalence_parallel_rounds += many.parallel_rounds;
-      report.equivalence_mailbox_rounds += many.mailbox_rounds;
-      if (many.trace_hash != one.trace_hash || many.total_progress != one.total_progress ||
-          many.dispatches != one.dispatches) {
-        report.failures.push_back(
-            "host-thread equivalence: 1 and " + std::to_string(host_threads) +
-            " host threads diverged (hash " + std::to_string(one.trace_hash) + " vs " +
-            std::to_string(many.trace_hash) + ", dispatches " +
-            std::to_string(one.dispatches) + " vs " + std::to_string(many.dispatches) +
-            ")");
-      }
     }
   }
 

@@ -12,10 +12,7 @@
 //   - mode equivalence: the feedback machine re-run with the controller's reference
 //     sweep, with the hot-field slabs disabled (pre-slab memory layout), and with
 //     the RBS pick mode pinned to kIndexed must each reproduce the production
-//     run's trace bit for bit;
-//   - host-thread equivalence: the feedback machine re-run with the dispatch rounds
-//     fanned out over 2 and over hardware_concurrency() OS threads (sim/parallel.h)
-//     must reproduce the single-threaded run's trace bit for bit.
+//     run's trace bit for bit.
 //
 // CheckSeed() is the unit the realrate_check CLI and the fuzz CTest batch iterate:
 // generate the spec for a seed, run the differential battery, return every failure
@@ -75,15 +72,6 @@ struct RunOptions {
   // battery compares this against an auto run — crossing (or never reaching) the
   // activation threshold must be trace-invariant.
   bool rbs_force_indexed = false;
-  // Host OS threads for the machine's dispatch rounds (MachineConfig::host_threads).
-  // 1 — the default — is the sequential reference engine; >1 fans eligible rounds
-  // out over a ParallelEngine. Any value must be trace-invariant.
-  int host_threads = 1;
-  // Attach the invariant oracle as the machine checker. On by default. The
-  // host-thread equivalence pass turns it off for BOTH sides of the comparison: an
-  // installed checker pins the machine to the sequential path (its per-tick hooks
-  // observe mid-round state), which would make a 1-vs-N comparison vacuous.
-  bool attach_oracle = true;
   // Fill RunOutcome::trace_dump when the oracle records violations.
   bool collect_trace_dump = false;
   OracleConfig oracle;
@@ -97,11 +85,6 @@ struct RunOutcome {
   Cycles cycles_per_tick = 0;   // One core's dispatch-interval capacity.
   int64_t total_progress = 0;   // Σ progress_units over every thread.
   int64_t dispatches = 0;
-  // Dispatch rounds the machine fanned out over the parallel engine, and the
-  // subset that staked queue ops through the per-core epoch mailboxes. Always
-  // zero at host_threads == 1 (the sequential engine never fans out).
-  int64_t parallel_rounds = 0;
-  int64_t mailbox_rounds = 0;
   // Feedback runs only: dispatches that executed the shadow comparison (indexed pick
   // asserted equal to the reference scan pick), summed over cores. Zero unless
   // RunOptions::rbs_shadow_check.
@@ -127,9 +110,6 @@ struct SeedCheckOptions {
   bool run_metamorphic = true;
   // Attach the first violating run's trace to the report.
   bool collect_trace_dump = true;
-  // Widest host-thread count the host-thread equivalence pass runs at, alongside
-  // the always-run width 2. 0 means "use std::thread::hardware_concurrency()".
-  int equivalence_host_threads = 0;
 };
 
 struct SeedReport {
@@ -137,13 +117,6 @@ struct SeedReport {
   WorkloadSpec spec;
   std::vector<std::string> failures;  // Empty <=> the seed passed everything.
   std::string trace_dump;             // First violating run's trace (may be empty).
-  // Rounds the host-thread equivalence pass fanned out, summed over its parallel
-  // runs — and the subset that staked queue ops through the per-core epoch
-  // mailboxes. realrate_check aggregates these across the battery and fails if
-  // mailbox-regime seeds were generated but no round ever staked: that would mean
-  // the 1-vs-N comparison quietly stopped exercising parallel queue rounds.
-  int64_t equivalence_parallel_rounds = 0;
-  int64_t equivalence_mailbox_rounds = 0;
   bool ok() const { return failures.empty(); }
 };
 

@@ -88,8 +88,7 @@ WorkloadSpec GenerateWorkload(uint64_t seed) {
   // Half the seeds also run the cross-machine rebalancer, and a quarter fall
   // back to the round-robin router baseline. These specs take the cluster
   // differential battery (harness/differential.cc): M=1 pinned bit-identical to
-  // a bare machine, per-machine trace hashes invariant across host-thread
-  // widths, and rerun stability.
+  // a bare machine, and rerun stability.
   if (rng.NextBool(0.0625)) {
     spec.num_cpus = 2 + static_cast<int>(rng.NextBounded(2));  // Cores per NODE.
     spec.run_for = Duration::Millis(120 + static_cast<int64_t>(rng.NextBounded(130)));
@@ -280,22 +279,17 @@ WorkloadSpec GenerateWorkload(uint64_t seed) {
     return spec;
   }
 
-  // Mailbox-regime bucket (~1 seed in 8): matched-rate unpaced pipelines sized so
-  // queue-driven rounds pass the per-core epoch mailbox gate — per-tick staked
-  // traffic (a few hundred bytes each way at 40 ppt / 400 MHz) is small against
-  // the 64 KB queues, and the feedback controller's half-full steering keeps every
-  // queue with both a fill cushion (pops never drain it) and headroom (pushes
-  // never fill it). The host-thread equivalence pass (differential.cc pass 1e)
-  // then fans real staked rounds out instead of only hog rounds; realrate_check
-  // aggregates the staked-round counts so that pass can never go vacuous silently.
-  // Half the pipelines carry one chunked stage so PipelineStageWork's round plan
-  // is fuzzed too. Reservations total ≤ 8 × 40 ppt = 0.32 < 0.45 × 4 cores.
+  // Matched-pipeline bucket (~1 seed in 8): matched-rate unpaced pipelines on 4
+  // cores whose per-tick traffic (a few hundred bytes each way at 40 ppt / 400 MHz)
+  // is small against the 64 KB queues, so the feedback controller's half-full
+  // steering holds every queue away from both its empty and its full edge. Half
+  // the pipelines carry one chunked stage, so PipelineStageWork runs in this
+  // steady regime too. Reservations total ≤ 8 × 40 ppt = 0.32 < 0.45 × 4 cores.
   if (rng.NextBool(0.125)) {
-    spec.mailbox_regime = true;
     spec.num_cpus = 4;
     spec.run_for = Duration::Millis(200 + static_cast<int64_t>(rng.NextBounded(100)));
-    const int mailbox_pipelines = 6 + static_cast<int>(rng.NextBounded(3));  // 6-8.
-    for (int i = 0; i < mailbox_pipelines; ++i) {
+    const int matched_pipelines = 6 + static_cast<int>(rng.NextBounded(3));  // 6-8.
+    for (int i = 0; i < matched_pipelines; ++i) {
       PipelineSpec p;
       p.producer_cycles_per_item = 3'000 + static_cast<Cycles>(rng.NextBounded(3'000));
       p.bytes_per_item = 48.0 + rng.NextDouble() * 32.0;
@@ -395,10 +389,9 @@ std::string WorkloadSpec::ToString() const {
   std::string out;
   char line[256];
   std::snprintf(line, sizeof(line),
-                "workload seed=%llu cpus=%d clock=%.0fMHz run_for=%lldms%s\n",
+                "workload seed=%llu cpus=%d clock=%.0fMHz run_for=%lldms\n",
                 static_cast<unsigned long long>(seed), num_cpus, clock_hz / 1e6,
-                static_cast<long long>(run_for.millis()),
-                mailbox_regime ? " (mailbox-regime)" : "");
+                static_cast<long long>(run_for.millis()));
   out += line;
   if (cluster.num_machines > 0) {
     std::snprintf(line, sizeof(line),

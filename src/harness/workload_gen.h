@@ -118,8 +118,8 @@ struct OpenLoopSpec {
 // arrival stream and the per-node farm shape; `num_machines` nodes of
 // `WorkloadSpec::num_cpus` cores each run it behind the front-end router. Specs
 // with num_machines > 0 take the cluster differential battery (M=1 pinned
-// bit-identical to a bare machine, per-machine trace hashes invariant across
-// host-thread widths, rerun stability) instead of the scheduler battery.
+// bit-identical to a bare machine, rerun stability) instead of the scheduler
+// battery.
 struct ClusterSpec {
   int num_machines = 0;  // 0 = not a cluster scenario (the default).
   Duration epoch = Duration::Millis(10);
@@ -135,13 +135,6 @@ struct WorkloadSpec {
   int num_cpus = 1;
   double clock_hz = 400e6;
   Duration run_for = Duration::Zero();
-  // Generator marker: this spec was drawn from the mailbox-regime bucket —
-  // matched-rate unpaced pipelines whose per-tick queue traffic is small against
-  // large queues, so the parallel engine's per-core epoch mailboxes should stake
-  // some rounds. The host-thread equivalence pass counts staked rounds across the
-  // battery (realrate_check's vacuity line) to prove the 1-vs-N comparison
-  // actually exercises parallel queue rounds.
-  bool mailbox_regime = false;
   std::vector<PipelineSpec> pipelines;
   std::vector<HogSpec> hogs;
   std::vector<ReservationSpec> reservations;

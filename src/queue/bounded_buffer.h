@@ -2,6 +2,9 @@
 // between a producer and a consumer that exposes exactly what the kernel-side monitor
 // needs: fill level, size, and each endpoint's role. Models shared-memory queues, pipes
 // and sockets uniformly (the controller never looks deeper than fill/size/role).
+//
+// Thread-safety: none. Every operation, and every wake it triggers, runs inside a
+// simulator event on the one host thread that drives the event loop.
 #ifndef REALRATE_QUEUE_BOUNDED_BUFFER_H_
 #define REALRATE_QUEUE_BOUNDED_BUFFER_H_
 
@@ -86,57 +89,11 @@ class BoundedBuffer {
   // previous tick.
   uint64_t change_epoch() const { return change_epoch_; }
 
-  // --- Round reservation (the parallel engine's slot-reservation API) ---
-  // One endpoint's pre-claimed slice of this queue for a single gated dispatch
-  // round. The coordinator sizes `budget_bytes` from the owning thread's round queue
-  // plan and installs the stake before forking; mid-round TryPush/TryPop/TryPopExact
-  // against a staked endpoint touch ONLY the stake — no shared buffer state — so the
-  // operating core stays lock-free and share-nothing. The gate has already proved
-  // every staked op succeeds with its full request (no full/empty edge is reachable
-  // in any interleaving), which is what makes the stake-local outcomes identical to
-  // the sequential engine's.
-  struct RoundStake {
-    int64_t budget_bytes = 0;  // Upper bound claimed at round start.
-    int64_t staged_bytes = 0;  // Bytes actually pushed/popped mid-round.
-    int64_t staged_ops = 0;    // Operations performed (change-epoch bumps to replay).
-  };
-
-  // Installs the per-round stakes (either may be null: endpoint not planned).
-  // Coordinator-only, outside the forked region; stake storage must not move while
-  // installed. SettleRoundStakes applies the staged deltas — fill (through the
-  // registry aggregate), totals, and the change epoch — and clears the pointers.
-  // The settled state is bit-identical to the sequential engine's end-of-round state.
-  void InstallRoundStakes(RoundStake* push, RoundStake* pop);
-  void SettleRoundStakes();
-  bool HasRoundStakes() const { return round_push_ != nullptr || round_pop_ != nullptr; }
-
   const std::vector<ThreadId>& waiting_producers() const { return waiting_producers_; }
   const std::vector<ThreadId>& waiting_consumers() const { return waiting_consumers_; }
 
-  // Coordinator-only scratch for the mailbox gate's queue-table construction: marks
-  // this buffer as seen during evaluation `stamp` and remembers its table slot, so
-  // deduplicating plan entries is O(1) per op with no hash map. Never touched by
-  // worker threads; meaningless outside one gate evaluation.
-  bool PlanMark(uint64_t stamp, int32_t slot) {
-    if (plan_stamp_ == stamp) {
-      return false;  // Already in this evaluation's table.
-    }
-    plan_stamp_ = stamp;
-    plan_slot_ = slot;
-    return true;
-  }
-  int32_t plan_slot() const { return plan_slot_; }
-
  private:
   void WakeAll(std::vector<ThreadId>& waiters);
-  // Plain (non-atomic) by design, unlike ThreadSlabs::runnable_count_, which must
-  // take relaxed RMWs while a parallel round is in flight: fill_ and the registry
-  // aggregate are never written during a staked round. The staked TryPush/TryPop
-  // fast paths touch only their per-thread RoundStake (one writer each, by the
-  // gate's single-pusher/single-popper rule), and SettleRoundStakes runs on the
-  // coordinator after the round barrier — so every ApplyFillDelta call is in a
-  // single-threaded phase. The TSan leg (web_farm_test, cluster_test, the
-  // host-threads-4 fuzz smoke) enforces this mechanically.
   void ApplyFillDelta(int64_t delta) {
     fill_ += delta;
     if (fill_aggregate_ != nullptr) {
@@ -154,10 +111,6 @@ class BoundedBuffer {
   int64_t empty_hits_ = 0;
   uint64_t change_epoch_ = 0;
   int64_t* fill_aggregate_ = nullptr;
-  RoundStake* round_push_ = nullptr;  // Non-null only inside a staked parallel round.
-  RoundStake* round_pop_ = nullptr;
-  uint64_t plan_stamp_ = 0;  // Gate-evaluation scratch (see PlanMark).
-  int32_t plan_slot_ = -1;
   WakeFn wake_fn_;
   std::vector<ThreadId> waiting_producers_;
   std::vector<ThreadId> waiting_consumers_;

@@ -26,27 +26,8 @@ Machine::Machine(Simulator& sim, std::vector<Scheduler*> schedulers, ThreadRegis
   }
   cycles_per_tick_ = sim_.cpu().DurationToCycles(config.dispatch_interval);
   RR_EXPECTS(cycles_per_tick_ > 0);
-  RR_EXPECTS(config.host_threads >= 1);
-  // One host thread per simulated core at most; a 1-core machine never forks.
-  const int host = std::min(config.host_threads, num_cpus());
-  if (host > 1) {
-    engine_ = std::make_unique<ParallelEngine>(host);
-    lanes_.resize(cores_.size());
-  }
-}
-
-int Machine::host_threads() const {
-  return engine_ != nullptr ? engine_->host_threads() : 1;
-}
-
-EventQueue::Callback Machine::TickCallback(CpuId core) {
-  // Under the parallel engine, core 0's clock drives the whole round; sibling cores
-  // keep their own callbacks, which fire only when RoundTick could not pop them
-  // (an interleaved same-timestamp event) — and then run the exact sequential tick.
-  if (engine_ != nullptr && core == 0) {
-    return [this] { RoundTick(); };
-  }
-  return [this, core] { Tick(core); };
+  RR_EXPECTS(config.host_threads == 1 &&
+             "MachineConfig::host_threads must be 1: dispatch is sequential");
 }
 
 void Machine::Start() {
@@ -55,7 +36,7 @@ void Machine::Start() {
   accounted_through_ = sim_.Now();
   for (CpuId c = 0; c < num_cpus(); ++c) {
     CoreAt(c).next_tick_event =
-        sim_.ScheduleAfter(config_.dispatch_interval, TickCallback(c));
+        sim_.ScheduleAfter(config_.dispatch_interval, [this, c] { Tick(c); });
   }
   if (num_cpus() > 1 && config_.rebalance_interval.IsPositive()) {
     sim_.ScheduleAfter(config_.rebalance_interval, [this] { Rebalance(); });
@@ -156,8 +137,6 @@ void Machine::ClearSleepGen(ThreadId id) {
 
 void Machine::Attach(SimThread* thread) {
   RR_EXPECTS(thread != nullptr);
-  RR_EXPECTS(!in_round_);  // Epoch contract: no attaches from inside a parallel round.
-  InvalidateRoundGate();
   ResumeTicking();  // A newly attached thread is runnable: the idle span is over.
   // Exclude the thread itself from the load census: it is typically already in the
   // registry (with a default core-0 affinity) by the time it is attached.
@@ -169,17 +148,11 @@ void Machine::Attach(SimThread* thread) {
 void Machine::Migrate(SimThread* thread, CpuId core) {
   RR_EXPECTS(thread != nullptr);
   RR_EXPECTS(core >= 0 && core < num_cpus());
-  // Epoch contract: migrations happen between rounds (the rebalancer and the
-  // controller both run as their own simulator events), never while per-core
-  // dispatch loops are in flight — a mid-round move would hand a thread to a core
-  // another host thread owns.
-  RR_EXPECTS(!in_round_);
   const CpuId from = thread->cpu();
   if (from == core) {
     return;
   }
   RR_EXPECTS(thread->state() != ThreadState::kRunning);
-  InvalidateRoundGate();
   // Settle catch-up before run-queue membership changes: the schedulers' bulk
   // OnTicksSkipped assumes a stable thread set across the skipped span.
   ResumeTicking();
@@ -227,8 +200,6 @@ void Machine::Wake(ThreadId thread_id) {
   if (thread == nullptr || thread->state() != ThreadState::kBlocked) {
     return;  // Spurious or stale wake.
   }
-  RR_EXPECTS(!in_round_);  // Gated rounds run only wake-free (round-local) work.
-  InvalidateRoundGate();
   ResumeTicking();  // Before the transition: catch-up must see the idle-span state.
   thread->set_state(ThreadState::kRunnable);
   thread->set_last_wake_time(sim_.Now());
@@ -240,8 +211,6 @@ void Machine::Wake(ThreadId thread_id) {
 void Machine::SleepUntil(SimThread* thread, TimePoint wake_at) {
   RR_EXPECTS(thread != nullptr);
   RR_EXPECTS(wake_at >= sim_.Now());
-  RR_EXPECTS(!in_round_);  // In-round throttle sleeps are staged (see ApplyRunResult).
-  InvalidateRoundGate();
   // Only a running/runnable thread can be put to sleep, so the machine cannot be
   // suspended here through the dispatch path — but a direct caller (tests) could add
   // a sleeper mid-suspension, which must re-arm the horizon. Resuming is the simple
@@ -259,8 +228,6 @@ void Machine::CancelSleep(SimThread* thread) {
   if (thread->state() != ThreadState::kSleeping) {
     return;
   }
-  RR_EXPECTS(!in_round_);
-  InvalidateRoundGate();
   ResumeTicking();
   ClearSleepGen(thread->id());  // The heap entry becomes stale.
   thread->set_state(ThreadState::kRunnable);
@@ -272,7 +239,6 @@ void Machine::CancelSleep(SimThread* thread) {
 
 void Machine::StealCycles(CpuUse category, Cycles cycles, CpuId core) {
   RR_EXPECTS(cycles >= 0);
-  RR_EXPECTS(!in_round_);  // Overhead charges land between rounds (timer, controller).
   if (config_.charge_overheads) {
     // The backlog must be absorbed by upcoming ticks, so a suspended machine resumes;
     // without backlog the charge is purely observational and needs no clock.
@@ -304,10 +270,6 @@ void Machine::SyncSkippedTicks(TimePoint now) {
 }
 
 void Machine::EpochFence(TimePoint now) {
-  // Cross-machine mutation is only legal between dispatch rounds; a fence from
-  // inside a fanned-out round would let another machine observe (or mutate) state
-  // mid-round, breaking the share-nothing round contract.
-  RR_EXPECTS(!in_round_);
   SyncSkippedTicks(now);
   ++epoch_fences_;
 }
@@ -429,14 +391,10 @@ void Machine::WakeExpiredSleepers(TimePoint now) {
   if (!any_expired && config_.charge_overheads) {
     StealCycles(CpuUse::kTimer, cpu.config().timer_idle_cycles);
   }
-  if (any_expired) {
-    InvalidateRoundGate();  // The runnable set grew; re-evaluate before forking.
-  }
 }
 
-void Machine::Tick(CpuId core_id) { TickBody(core_id, sim_.Now()); }
-
-void Machine::TickBody(CpuId core_id, TimePoint now) {
+void Machine::Tick(CpuId core_id) {
+  const TimePoint now = sim_.Now();
   Core& core = CoreAt(core_id);
   ++core.ticks;
   core.round_had_pick = false;
@@ -445,11 +403,6 @@ void Machine::TickBody(CpuId core_id, TimePoint now) {
   if (core_id == 0) {
     WakeExpiredSleepers(now);
   }
-  TickRest(core_id, now);
-}
-
-void Machine::TickRest(CpuId core_id, TimePoint now) {
-  Core& core = CoreAt(core_id);
   core.scheduler->OnTick(now);
 
   // Capacity of this tick, minus overhead backlog carried over (controller runs,
@@ -471,316 +424,7 @@ void Machine::TickRest(CpuId core_id, TimePoint now) {
     return;
   }
   core.next_tick_event =
-      sim_.ScheduleAfter(config_.dispatch_interval, TickCallback(core_id));
-}
-
-bool Machine::RoundIsLocal(TimePoint now) {
-  if (gate_cached_epoch_ == gate_epoch_) {
-    return gate_cached_;
-  }
-  // Every runnable thread must be able to absorb a full tick with no side effects
-  // outside its own record (WorkModel::RoundLocalCycles' contract). Sweeping the
-  // state column (slot order) keeps the scan cache-friendly; the verdict is cached
-  // until the runnable set changes, so steady farm phases pay it once.
-  bool local = true;
-  if (UseColumns()) {
-    const int32_t n = slabs_->slot_count();
-    for (int32_t s = 0; s < n && local; ++s) {
-      if (slabs_->state(s) == ThreadState::kRunnable) {
-        SimThread* t = slabs_->thread_at(s);
-        local = t->work().RoundLocalCycles(now) >= cycles_per_tick_;
-      }
-    }
-  } else {
-    for (SimThread* t : registry_.All()) {
-      if (!t->HasExited() && t->state() == ThreadState::kRunnable &&
-          t->work().RoundLocalCycles(now) < cycles_per_tick_) {
-        local = false;
-        break;
-      }
-    }
-  }
-  gate_cached_epoch_ = gate_epoch_;
-  gate_cached_ = local;
-  return local;
-}
-
-void Machine::RecordPlanFailure() {
-  plan_fail_valid_ = true;
-  plan_fail_gate_epoch_ = gate_epoch_;
-  plan_fail_queues_.clear();
-  // Everything consulted so far: queues already in the claim table, plus the queues
-  // the failing model listed (for a data-limited plan, the input whose refill would
-  // make the plan succeed). A queue can appear in both; the duplicate check is
-  // harmless and the vector stays small.
-  for (const QueueClaim& claim : round_claims_) {
-    plan_fail_queues_.emplace_back(claim.queue, claim.queue->change_epoch());
-  }
-  for (const RoundQueueOp& op : plan_ops_) {
-    if (op.queue != nullptr) {
-      plan_fail_queues_.emplace_back(op.queue, op.queue->change_epoch());
-    }
-  }
-}
-
-bool Machine::RoundPlanIsFeasible(TimePoint now) {
-  // Fail-fast: the last failure stands while the runnable set and every consulted
-  // queue's change epoch are unchanged — nothing that could flip the verdict has
-  // moved. (A plan's byte bounds also depend on `now`, so a stale failure can in
-  // principle outlive its cause on a machine whose queues go quiet; that only costs
-  // parallelism — the sequential path is always correct — and any traffic on a
-  // consulted queue re-opens the evaluation immediately.)
-  if (plan_fail_valid_ && plan_fail_gate_epoch_ == gate_epoch_) {
-    bool unchanged = true;
-    for (const auto& [queue, epoch] : plan_fail_queues_) {
-      if (queue->change_epoch() != epoch) {
-        unchanged = false;
-        break;
-      }
-    }
-    if (unchanged) {
-      return false;
-    }
-  }
-  plan_fail_valid_ = false;
-  round_claims_.clear();
-  round_staged_.clear();
-  const uint64_t stamp = ++plan_stamp_;
-
-  // Classification sweep: every runnable thread must be a hog (full-tick
-  // RoundLocalCycles) or produce a queue plan under its scheduler's cycle bound.
-  // Claims aggregate per queue in sweep order; the single-pusher/single-popper rule
-  // keeps each side-band FIFO's mid-round order equal to the sequential engine's.
-  auto consider = [&](SimThread* t) -> bool {
-    WorkModel& work = t->work();
-    if (work.RoundLocalCycles(now) >= cycles_per_tick_) {
-      return true;  // Hog: no queue ops, nothing to stage.
-    }
-    plan_ops_.clear();
-    const Cycles bound = CoreAt(t->cpu()).scheduler->RoundCycleBound(t, cycles_per_tick_);
-    if (bound <= 0 || !work.PlanRoundQueueOps(now, bound, &plan_ops_)) {
-      RecordPlanFailure();
-      return false;
-    }
-    for (const RoundQueueOp& op : plan_ops_) {
-      RR_CHECK(op.queue != nullptr && op.push_bytes >= 0 && op.pop_bytes >= 0);
-      if (op.queue->PlanMark(stamp, static_cast<int32_t>(round_claims_.size()))) {
-        round_claims_.push_back(QueueClaim{op.queue, {}, {}, kInvalidThreadId,
-                                           kInvalidThreadId});
-      }
-      QueueClaim& claim = round_claims_[static_cast<size_t>(op.queue->plan_slot())];
-      if (op.push_bytes > 0) {
-        if (claim.pusher != kInvalidThreadId && claim.pusher != t->id()) {
-          RecordPlanFailure();
-          return false;  // Second pusher: staged FIFO order would be ambiguous.
-        }
-        claim.pusher = t->id();
-        claim.push.budget_bytes += op.push_bytes;
-      }
-      if (op.pop_bytes > 0) {
-        if (claim.popper != kInvalidThreadId && claim.popper != t->id()) {
-          RecordPlanFailure();
-          return false;
-        }
-        claim.popper = t->id();
-        claim.pop.budget_bytes += op.pop_bytes;
-      }
-    }
-    round_staged_.emplace_back(t->cpu(), &work);
-    return true;
-  };
-
-  bool ok = true;
-  if (UseColumns()) {
-    const int32_t n = slabs_->slot_count();
-    for (int32_t s = 0; s < n && ok; ++s) {
-      if (slabs_->state(s) == ThreadState::kRunnable) {
-        ok = consider(slabs_->thread_at(s));
-      }
-    }
-  } else {
-    for (SimThread* t : registry_.All()) {
-      if (!t->HasExited() && t->state() == ThreadState::kRunnable) {
-        if (!consider(t)) {
-          ok = false;
-          break;
-        }
-      }
-    }
-  }
-  if (!ok) {
-    return false;
-  }
-
-  // Feasibility: with at most one pusher and one popper per queue, total pushes
-  // fitting the free space and total pops covered by the round-start fill mean no
-  // interleaving — including the sequential one — can reach a full or empty edge:
-  // every op this round succeeds with its full request, and no wake can fire.
-  // A parked waiter would need exactly such a wake, so any waiter fails the gate.
-  for (const QueueClaim& claim : round_claims_) {
-    const BoundedBuffer* q = claim.queue;
-    if (!q->waiting_producers().empty() || !q->waiting_consumers().empty() ||
-        q->fill() + claim.push.budget_bytes > q->capacity() ||
-        claim.pop.budget_bytes > q->fill()) {
-      plan_ops_.clear();  // Claims alone key the failure.
-      RecordPlanFailure();
-      return false;
-    }
-  }
-  return true;
-}
-
-void Machine::Emit(CpuId core, TimePoint t, TraceKind kind, ThreadId thread, int64_t arg0,
-                   int64_t arg1) {
-  if (in_round_) {
-    if (sim_.trace().enabled()) {
-      lanes_[static_cast<size_t>(core)].events.push_back(
-          TraceEvent{t, kind, thread, arg0, arg1});
-    }
-    return;
-  }
-  sim_.trace().Record(t, kind, thread, arg0, arg1);
-}
-
-void Machine::RoundTick() {
-  const TimePoint now = sim_.Now();
-  const int n = num_cpus();
-  // Claim the round: the sibling cores' tick events are contiguous at the queue
-  // head whenever no other event shares this timestamp (same-time events scheduled
-  // earlier carry smaller ids and fired before core 0's tick; events created from
-  // here on carry larger ids). Each successful pop consumes the event without
-  // running its callback — this round runs the tick instead.
-  int popped = 0;  // Cores 1..popped had their tick events claimed.
-  while (popped + 1 < n && sim_.PopExpected(CoreAt(popped + 1).next_tick_event, now)) {
-    ++popped;
-  }
-  if (popped + 1 < n || checker_ != nullptr) {
-    // Partial round (an interleaved same-timestamp event) or an installed invariant
-    // oracle: run the claimed ticks inline, in core order — the exact interleave the
-    // one-queue engine produces. Unclaimed cores' events fire on their own.
-    for (CpuId c = 0; c <= popped; ++c) {
-      TickBody(c, now);
-    }
-    return;
-  }
-
-  // Whole round in hand. The shared prologue is bit-identical to each core running
-  // its own (nothing reads the counters or accounted_through_ mid-round), and the
-  // timer service must precede the gate: expired sleepers grow the runnable set.
-  for (CpuId c = 0; c < n; ++c) {
-    Core& core = CoreAt(c);
-    ++core.ticks;
-    core.round_had_pick = false;
-  }
-  accounted_through_ = now;
-  WakeExpiredSleepers(now);
-
-  bool staked = false;
-  if (!RoundIsLocal(now)) {
-    // Not all hogs: try the mailbox gate — pre-claimed queue stakes extend the
-    // parallel path to pipeline- and farm-shaped rounds.
-    staked = RoundPlanIsFeasible(now);
-    if (!staked) {
-      for (CpuId c = 0; c < n; ++c) {
-        TickRest(c, now);
-      }
-      return;
-    }
-  }
-
-  if (staked) {
-    // Install the pre-claimed stakes (the claim table is final — stake pointers
-    // stay put) and switch the planned models' cross-thread side effects (side-band
-    // FIFO appends, shared sample sets) into staging mode, core-major flush order.
-    for (QueueClaim& claim : round_claims_) {
-      claim.queue->InstallRoundStakes(
-          claim.pusher != kInvalidThreadId ? &claim.push : nullptr,
-          claim.popper != kInvalidThreadId ? &claim.pop : nullptr);
-    }
-    std::stable_sort(round_staged_.begin(), round_staged_.end(),
-                     [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [core, model] : round_staged_) {
-      model->BeginRoundStaging();
-    }
-  }
-
-  // Parallel epoch. The schedulers' tick work stays on the coordinator — it is the
-  // one in-round path with cross-core effects (the replenisher's deadline-miss hook
-  // records to the trace and adjusts controller state) — with its records staged
-  // into each core's lane, exactly where the sequential engine would emit them.
-  TraceRecorder& trace = sim_.trace();
-  for (CpuId c = 0; c < n; ++c) {
-    Lane& lane = lanes_[static_cast<size_t>(c)];
-    lane.events.clear();
-    lane.sleeps.clear();
-    trace.SetStage(&lane.events);
-    CoreAt(c).scheduler->OnTick(now);
-  }
-  trace.SetStage(nullptr);
-
-  in_round_ = true;
-  if (slabs_ != nullptr) {
-    slabs_->set_shared_mode(true);  // Runnable-count bumps go RMW for the round.
-  }
-  engine_->RunRound(n, [this, now](int c) { RoundDispatch(static_cast<CpuId>(c), now); });
-  if (slabs_ != nullptr) {
-    slabs_->set_shared_mode(false);
-  }
-  in_round_ = false;
-  ++parallel_rounds_;
-
-  // Epoch barrier: drain the per-core lanes in ascending core order. The merged
-  // record stream and the throttle-sleeps' generation order reproduce the sequential
-  // engine's exactly (core 0's whole tick before core 1's).
-  for (CpuId c = 0; c < n; ++c) {
-    Lane& lane = lanes_[static_cast<size_t>(c)];
-    for (const TraceEvent& event : lane.events) {
-      trace.RecordEvent(event);
-    }
-    for (const Lane::StagedSleep& staged : lane.sleeps) {
-      const uint64_t gen = next_generation_++;
-      SetSleepGen(staged.thread->id(), gen);
-      PushSleeper(SleepEntry{staged.wake_at, gen, staged.thread->id()});
-    }
-  }
-
-  if (staked) {
-    // Merge the round's queue effects: per-queue fill deltas (flowing through the
-    // registry's fill aggregate), totals, and change-epoch bumps settle to exactly
-    // the sequential end-of-round state; staged side-band effects flush in core
-    // order. Nothing observes queue state mid-round (the controller, the cluster
-    // fence, and the checker all run between rounds), so settle order is free.
-    ++mailbox_rounds_;
-    for (QueueClaim& claim : round_claims_) {
-      claim.queue->SettleRoundStakes();
-    }
-    for (const auto& [core, model] : round_staged_) {
-      model->FlushRoundEffects();
-    }
-  }
-
-  // Re-arm / suspend in the sequential engine's event-id order: cores 0..n-2 re-arm
-  // unconditionally; the last core decides idleness (Suspend cancels the fresh
-  // re-arms and arms the horizon, exactly as it would have sequentially).
-  for (CpuId c = 0; c < n - 1; ++c) {
-    CoreAt(c).next_tick_event =
-        sim_.ScheduleAfter(config_.dispatch_interval, TickCallback(c));
-  }
-  if (ShouldSuspend()) {
-    Suspend();
-    return;
-  }
-  CoreAt(n - 1).next_tick_event =
-      sim_.ScheduleAfter(config_.dispatch_interval, TickCallback(n - 1));
-}
-
-void Machine::RoundDispatch(CpuId core_id, TimePoint now) {
-  Core& core = CoreAt(core_id);
-  Cycles cycles_left = cycles_per_tick_;
-  const Cycles absorbed = std::min(core.stolen_backlog, cycles_left);
-  cycles_left -= absorbed;
-  core.stolen_backlog -= absorbed;
-  DispatchLoop(core, core_id, now, cycles_left);
+      sim_.ScheduleAfter(config_.dispatch_interval, [this, core_id] { Tick(core_id); });
 }
 
 bool Machine::ShouldSuspend() const {
@@ -963,7 +607,7 @@ void Machine::ResumeTicking() {
   AccountSkippedTicks(sim_.Now(), /*inclusive=*/false);
   const TimePoint first_tick = accounted_through_ + config_.dispatch_interval;
   for (CpuId c = 0; c < num_cpus(); ++c) {
-    CoreAt(c).next_tick_event = sim_.ScheduleAt(first_tick, TickCallback(c));
+    CoreAt(c).next_tick_event = sim_.ScheduleAt(first_tick, [this, c] { Tick(c); });
   }
 }
 
@@ -1021,28 +665,23 @@ void Machine::DispatchLoop(Core& core, CpuId core_id, TimePoint now, Cycles cycl
     cpu.Charge(CpuUse::kUser, result.used);
     cycles_left -= result.used;
     core.scheduler->OnRan(pick, result.used, now);
-    Emit(core_id, now, TraceKind::kDispatch, pick->id(), result.used);
+    sim_.trace().Record(now, TraceKind::kDispatch, pick->id(), result.used);
 
-    ApplyRunResult(core, core_id, pick, result, now);
+    ApplyRunResult(core, pick, result, now);
   }
 }
 
-void Machine::ApplyRunResult(Core& core, CpuId core_id, SimThread* thread,
-                             const RunResult& result, TimePoint now) {
-  // Inside a parallel round the independence gate guarantees every slice stays
-  // runnable (at most throttling afterwards) — anything else would be a cross-core
-  // effect emitted from a worker thread.
-  RR_CHECK(!in_round_ || result.next == RunResult::Next::kRunnable);
+void Machine::ApplyRunResult(Core& core, SimThread* thread, const RunResult& result,
+                             TimePoint now) {
   switch (result.next) {
     case RunResult::Next::kRunnable:
       thread->set_state(ThreadState::kRunnable);
       break;
     case RunResult::Next::kBlocked:
-      InvalidateRoundGate();
       thread->set_state(ThreadState::kBlocked);
       thread->OnBurstEnd();  // Ran-before-blocking measurement for interactive jobs.
       core.scheduler->OnBlock(thread, now);
-      Emit(core_id, now, TraceKind::kBlock, thread->id(), result.block_tag);
+      sim_.trace().Record(now, TraceKind::kBlock, thread->id(), result.block_tag);
       return;  // Throttling is irrelevant once off the run queue.
     case RunResult::Next::kSleeping:
       thread->set_state(ThreadState::kRunnable);  // SleepUntil flips it to kSleeping.
@@ -1050,10 +689,9 @@ void Machine::ApplyRunResult(Core& core, CpuId core_id, SimThread* thread,
       SleepUntil(thread, std::max(result.wake_at, now));  // Notifies OnBlock itself.
       return;
     case RunResult::Next::kExited:
-      InvalidateRoundGate();
       thread->set_state(ThreadState::kExited);
       core.scheduler->RemoveThread(thread);
-      Emit(core_id, now, TraceKind::kExit, thread->id());
+      sim_.trace().Record(now, TraceKind::kExit, thread->id());
       if (core.last_ran == thread) {
         core.last_ran = nullptr;
       }
@@ -1063,22 +701,9 @@ void Machine::ApplyRunResult(Core& core, CpuId core_id, SimThread* thread,
   // Budget enforcement: "when a thread has used its allocation for its period, it is
   // put to sleep until its next period begins."
   if (const auto throttle_until = core.scheduler->ThrottleUntil(thread, now)) {
-    Emit(core_id, now, TraceKind::kBudgetExhausted, thread->id(),
-         thread->cycles_this_period());
-    const TimePoint wake_at = std::max(*throttle_until, now);
-    if (in_round_) {
-      // Staged sleep: the state flip and run-queue exit are core-local and happen
-      // now; the wheel insertion and generation assignment are cross-core state and
-      // happen at the barrier, in core order — the order the sequential engine
-      // issues generations in. (SleepUntil's ResumeTicking is a no-op here: the
-      // machine cannot be suspended while a round is dispatching.)
-      thread->set_state(ThreadState::kSleeping);
-      core.scheduler->OnBlock(thread, now);
-      lanes_[static_cast<size_t>(core_id)].sleeps.push_back(
-          Lane::StagedSleep{thread, wake_at});
-      return;
-    }
-    SleepUntil(thread, wake_at);  // Notifies OnBlock itself.
+    sim_.trace().Record(now, TraceKind::kBudgetExhausted, thread->id(),
+                        thread->cycles_this_period());
+    SleepUntil(thread, std::max(*throttle_until, now));  // Notifies OnBlock itself.
   }
 }
 

@@ -33,20 +33,10 @@
 // deadlines). dispatch_hz() is dispatches per virtual second. Nothing here is
 // wall-clock.
 //
-// Thread-safety: the public API is single-(host-)threaded — like everything above the
-// Simulator, it runs inside simulator events on the event-loop thread. With
-// config.host_threads > 1 the Machine additionally runs *gated* dispatch rounds
-// across a ParallelEngine: when every core's tick event is at the queue head and
-// every runnable thread's work model is provably round-local (WorkModel::
-// RoundLocalCycles covers the whole tick), the per-core dispatch loops run
-// concurrently, one host thread per simulated core, staging trace records and
-// throttle-sleeps into per-core lanes that the coordinator merges at the epoch
-// barrier in ascending core order. Anything else — an installed checker, an
-// interleaved event, a thread that might block/wake/migrate — falls back to the
-// sequential reference path, so the schedule, the event-id sequence, and the trace
-// are bit-identical at every host_threads value (tests/parallel_engine_test.cc and
-// the fuzz battery's 1-vs-N equivalence pass pin this). See docs/ARCHITECTURE.md,
-// "The parallel engine".
+// Thread-safety: none — like everything above the Simulator, the Machine runs inside
+// single-threaded simulator events. Per-core state is "per-core" in the simulated
+// machine, not per-host-thread; cores interleave deterministically on one event queue
+// (each tick, cores run in ascending core-id order).
 //
 // Single-CPU compatibility: a Machine built with one scheduler (the legacy
 // constructor) schedules exactly the same events, in the same order, with the same
@@ -57,7 +47,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <unordered_map>
 #include <vector>
@@ -66,7 +55,6 @@
 #include "queue/sim_mutex.h"
 #include "queue/tty.h"
 #include "sched/scheduler.h"
-#include "sim/parallel.h"
 #include "sim/simulator.h"
 #include "task/registry.h"
 
@@ -111,10 +99,7 @@ struct MachineConfig {
   // under the controller's 0.95 admission ceiling so a core pinned at the squish
   // ceiling counts as over-subscribed.
   double rebalance_threshold = 0.9;
-  // Host OS threads driving the simulated cores. 1 (the default) is the reference
-  // engine: every event runs on the caller's thread. N > 1 runs gated dispatch
-  // rounds one-host-thread-per-core (clamped to the core count) with bit-identical
-  // results — same schedule, same trace hash, same event ids — at any value.
+  // Must be 1; stays only for perfbench/rrbench.cc, goes with the next benchmark change.
   int host_threads = 1;
 };
 
@@ -186,13 +171,11 @@ class Machine {
   // No-op unless suspended. Does not resume the dispatch clocks.
   void SyncSkippedTicks(TimePoint now);
 
-  // Cluster epoch fence: asserts the machine is quiescent for cross-machine
-  // mutation (no parallel dispatch round in flight) and settles idle-fast-forward
-  // catch-up at `now`, so the cluster layer's epoch-boundary reads (ledger spare,
-  // queue pressure) and migrations observe exactly the state a continuously
-  // ticking machine would show. The cluster rebalancer must call this before
-  // touching any cross-machine state — the same epoch contract the parallel
-  // engine enforces within one machine, one level up.
+  // Cluster epoch fence: settles idle-fast-forward catch-up at `now`, so the
+  // cluster layer's epoch-boundary reads (ledger spare, queue pressure) and
+  // migrations observe exactly the state a continuously ticking machine would
+  // show. The cluster rebalancer must call this before touching any
+  // cross-machine state.
   void EpochFence(TimePoint now);
   int64_t epoch_fences() const { return epoch_fences_; }
 
@@ -231,18 +214,6 @@ class Machine {
   // suspensions have begun, and whether one is in effect right now.
   int64_t idle_suspensions() const { return idle_suspensions_; }
   bool idle_suspended() const { return suspended_; }
-  // Tick rounds that actually ran the per-core dispatch loops across host threads
-  // (0 when host_threads == 1 or no round ever passed the independence gate).
-  int64_t parallel_rounds() const { return parallel_rounds_; }
-  // The subset of parallel_rounds() admitted through the mailbox gate — rounds whose
-  // queue operations ran against pre-claimed BoundedBuffer stakes rather than the
-  // hog-only RoundLocalCycles gate. The vacuity signal for the queue-round
-  // equivalence passes: a pipeline/farm config that claims to exercise the parallel
-  // path must show this > 0.
-  int64_t mailbox_rounds() const { return mailbox_rounds_; }
-  // Host threads the machine will use (config.host_threads clamped to the core
-  // count; 1 when no ParallelEngine was created).
-  int host_threads() const;
 
  private:
   struct SleepEntry {
@@ -296,50 +267,6 @@ class Machine {
   }
 
   void Tick(CpuId core);
-  // Tick(core) minus the callback lookup: prologue (counters, core-0 timer service)
-  // plus TickRest. The sequential engine's whole tick; the parallel engine's
-  // fallback unit.
-  void TickBody(CpuId core, TimePoint now);
-  // Everything in a tick after the prologue: scheduler OnTick, backlog absorption,
-  // the dispatch loop, checker hook, and the re-arm / suspend decision.
-  void TickRest(CpuId core, TimePoint now);
-  // host_threads > 1: core 0's dispatch-clock callback. Pops the sibling cores'
-  // same-timestamp tick events off the queue head and runs the whole round — in
-  // parallel when the independence gate passes, else as the exact sequential
-  // interleave.
-  void RoundTick();
-  // The per-core body RunRound fans out: backlog absorption + dispatch loop only.
-  void RoundDispatch(CpuId core, TimePoint now);
-  // The dispatch clock callback for `core` under the current engine mode.
-  EventQueue::Callback TickCallback(CpuId core);
-  // True when every runnable thread's work model is round-local for a full tick
-  // starting at `now` — the precondition for running dispatch loops concurrently.
-  // The verdict is cached and invalidated by runnable-set changes (gate_epoch_).
-  bool RoundIsLocal(TimePoint now);
-  // The mailbox gate: when RoundIsLocal fails because runnable threads carry queue
-  // work, collect every such thread's round queue plan (WorkModel::PlanRoundQueueOps,
-  // budgeted by Scheduler::RoundCycleBound) into a per-queue claim table and admit
-  // the round iff, for every planned queue: no thread is blocked on it, at most one
-  // thread pushes and one pops (so side-band FIFOs keep sequential order), the push
-  // bounds fit the current headroom, and the pop bounds fit the current fill. Under
-  // those conditions no full/empty edge is reachable in ANY interleaving — every op
-  // succeeds with its full request in both engines, no wake can fire — so the round
-  // fans out with bit-identical results. On success round_claims_/round_staged_ hold
-  // the table; on failure the verdict is cached at per-queue epoch granularity
-  // (plan_fail_*): re-evaluation waits for a runnable-set change or a consulted
-  // queue's change_epoch to move, keeping steady-state gate work O(runnable).
-  bool RoundPlanIsFeasible(TimePoint now);
-  // Remembers why the mailbox gate failed: the consulted queues' change epochs
-  // (empty = runnable-set-keyed only), so the fail-fast path above stays sound.
-  void RecordPlanFailure();
-  // Invalidates the cached gate verdict. Called on every runnable-set change made
-  // outside a parallel round; in-round transitions can only shrink the runnable set
-  // (gated work never wakes anyone), which cannot falsify a true verdict.
-  void InvalidateRoundGate() { ++gate_epoch_; }
-  // Records a trace event from the dispatch path: directly when sequential, into
-  // `core`'s lane when inside a parallel round (merged in core order at the barrier).
-  void Emit(CpuId core, TimePoint t, TraceKind kind, ThreadId thread, int64_t arg0 = 0,
-            int64_t arg1 = 0);
   void WakeExpiredSleepers(TimePoint now);
   // Files a sleeper into the timing wheel (short sleeps, the common case) or the
   // far heap (wakes beyond the wheel window).
@@ -347,8 +274,7 @@ class Machine {
   // Runs work for up to `cycles_left` on `core`; one iteration of the intra-tick
   // dispatch loop.
   void DispatchLoop(Core& core, CpuId core_id, TimePoint now, Cycles cycles_left);
-  void ApplyRunResult(Core& core, CpuId core_id, SimThread* thread, const RunResult& result,
-                      TimePoint now);
+  void ApplyRunResult(Core& core, SimThread* thread, const RunResult& result, TimePoint now);
   // One pass of the over-subscription rebalancer; reschedules itself.
   void Rebalance();
 
@@ -411,55 +337,6 @@ class Machine {
   bool started_ = false;
   MachineChecker* checker_ = nullptr;
   MigrationHook migration_hook_;
-
-  // --- Parallel engine (host_threads > 1) ---
-  // Per-core mailbox for one round's cross-core-visible effects: trace records in
-  // emission order, and throttle-sleeps whose wheel insertion (and generation
-  // assignment) is deferred to the barrier. Cleared at round start; drained at the
-  // barrier in ascending core order — the fixed drain order that makes the merged
-  // stream equal the sequential engine's.
-  struct Lane {
-    struct StagedSleep {
-      SimThread* thread;
-      TimePoint wake_at;
-    };
-    std::vector<TraceEvent> events;
-    std::vector<StagedSleep> sleeps;
-  };
-
-  std::unique_ptr<ParallelEngine> engine_;  // Null when host_threads == 1.
-  std::vector<Lane> lanes_;                 // One per core; empty when engine_ is null.
-  bool in_round_ = false;  // Dispatch loops currently fanned out across host threads.
-  int64_t parallel_rounds_ = 0;
-  // Independence-gate verdict cache: RoundIsLocal's scan only reruns after a
-  // runnable-set change (wake, sleep, block, exit, attach, migrate) bumps the epoch.
-  uint64_t gate_epoch_ = 1;
-  uint64_t gate_cached_epoch_ = 0;
-  bool gate_cached_ = false;
-
-  // --- Mailbox (staked-queue) rounds ---
-  // One planned queue's aggregated claim for the current round: the stake structs
-  // the buffer's mid-round ops write into, and the single planned endpoint threads.
-  struct QueueClaim {
-    BoundedBuffer* queue = nullptr;
-    BoundedBuffer::RoundStake push;
-    BoundedBuffer::RoundStake pop;
-    ThreadId pusher = kInvalidThreadId;
-    ThreadId popper = kInvalidThreadId;
-  };
-  std::vector<QueueClaim> round_claims_;  // This round's queue table (coordinator-owned).
-  // Planned models with their owning core, sorted into ascending-core order before
-  // the FlushRoundEffects barrier — the core-major effect order the sequential
-  // engine produces.
-  std::vector<std::pair<CpuId, WorkModel*>> round_staged_;
-  std::vector<RoundQueueOp> plan_ops_;  // Reused per-thread plan scratch.
-  uint64_t plan_stamp_ = 0;             // Queue-table dedup stamp (BoundedBuffer::PlanMark).
-  int64_t mailbox_rounds_ = 0;
-  // Mailbox-gate failure cache (per-queue epoch granularity): the failure holds
-  // while the runnable set and every consulted queue's change epoch are unchanged.
-  bool plan_fail_valid_ = false;
-  uint64_t plan_fail_gate_epoch_ = 0;
-  std::vector<std::pair<BoundedBuffer*, uint64_t>> plan_fail_queues_;
 };
 
 }  // namespace realrate

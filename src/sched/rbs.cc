@@ -595,20 +595,6 @@ Cycles RbsScheduler::MaxGrant(SimThread* thread, Cycles tick_remaining) {
   return tick_remaining;
 }
 
-Cycles RbsScheduler::RoundCycleBound(const SimThread* thread, Cycles tick_cycles) const {
-  // In work-conserving mode an exhausted reservation may still absorb the whole
-  // tick, so only the non-work-conserving case can tighten the bound. MaxGrant clips
-  // every grant against budget_remaining, but the gate evaluates BEFORE OnTick runs:
-  // a period boundary inside the tick replenishes the budget to PeriodBudget, so the
-  // sound per-tick ceiling is whichever of the two is larger (a replenishment resets
-  // to exactly PeriodBudget; it never adds to a remainder).
-  if (config_.work_conserving || !HasReservation(thread)) {
-    return tick_cycles;
-  }
-  const Cycles ceiling = std::max(thread->budget_remaining(), PeriodBudget(thread));
-  return std::min(tick_cycles, ceiling);
-}
-
 void RbsScheduler::OnRan(SimThread* thread, Cycles used, TimePoint /*now*/) {
   if (HasReservation(thread)) {
     thread->set_budget_remaining(std::max<Cycles>(0, thread->budget_remaining() - used));

@@ -121,7 +121,6 @@ class RbsScheduler : public Scheduler {
   void OnTicksSkipped(int64_t count, TimePoint now) override;
   SimThread* PickNext(TimePoint now) override;
   Cycles MaxGrant(SimThread* thread, Cycles tick_remaining) override;
-  Cycles RoundCycleBound(const SimThread* thread, Cycles tick_cycles) const override;
   void OnRan(SimThread* thread, Cycles used, TimePoint now) override;
   std::optional<TimePoint> ThrottleUntil(SimThread* thread, TimePoint now) override;
   void OnWake(SimThread* thread, TimePoint now) override;

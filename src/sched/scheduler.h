@@ -58,12 +58,7 @@ class Scheduler {
   // `tick_remaining` is the cycle budget left in the current dispatch interval.
   virtual Cycles MaxGrant(SimThread* thread, Cycles tick_remaining) = 0;
 
-  // Upper bound on the TOTAL cycles `thread` could be granted across one whole
-  // dispatch tick of `tick_cycles` capacity, robust to anything OnTick may do first
-  // (budget replenishment above all). The Machine's mailbox gate sizes round queue
-  // plans with this BEFORE the tick runs, so it must hold for the tick that follows.
-  // The trivial bound — the full tick — is always correct; policies that clip grants
-  // against per-period budgets override it to tighten the plans.
+  // Unused; stays only for perfbench/rrbench.cc, goes with the next benchmark change.
   virtual Cycles RoundCycleBound(const SimThread* /*thread*/, Cycles tick_cycles) const {
     return tick_cycles;
   }

@@ -48,12 +48,6 @@ TimePoint EventQueue::PeekTime() {
   return heap_.top().when;
 }
 
-EventId EventQueue::PeekId() {
-  SkimCancelled();
-  RR_EXPECTS(!heap_.empty());
-  return heap_.top().id;
-}
-
 EventQueue::Popped EventQueue::Pop() {
   SkimCancelled();
   RR_EXPECTS(!heap_.empty());

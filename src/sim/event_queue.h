@@ -43,10 +43,6 @@ class EventQueue {
   bool Empty() const { return pending_.empty(); }
   // Timestamp of the earliest pending event. Requires !Empty().
   TimePoint PeekTime();
-  // Id of the earliest pending event. Requires !Empty(). With PeekTime this lets a
-  // caller test "is the head exactly the event I scheduled?" without popping — the
-  // parallel engine's round detection (see Simulator::PopExpected).
-  EventId PeekId();
   // Removes and returns the earliest pending event. Requires !Empty().
   struct Popped {
     EventId id;

@@ -44,19 +44,6 @@ bool Simulator::Step() {
   return true;
 }
 
-bool Simulator::PopExpected(EventId id, TimePoint t) {
-  if (id == kInvalidEventId || events_.Empty() || events_.PeekTime() != t ||
-      events_.PeekId() != id) {
-    return false;
-  }
-  auto event = events_.Pop();
-  RR_CHECK(event.when == t && event.id == id);
-  RR_CHECK(t >= now_);
-  now_ = t;
-  ++events_processed_;
-  return true;
-}
-
 void Simulator::RunUntil(TimePoint t) {
   RR_EXPECTS(t >= now_);
   while (!events_.Empty() && events_.PeekTime() <= t) {

@@ -67,12 +67,6 @@ class Simulator {
 
   // Runs a single event; returns false if none pending.
   bool Step();
-  // If the earliest pending event is exactly {id, t}, consumes it WITHOUT running its
-  // callback (the caller runs the equivalent work itself) and returns true; otherwise
-  // leaves the queue untouched and returns false. events_processed() counts a
-  // consumed event like a stepped one, so the parallel engine's batched tick rounds
-  // keep the same event accounting as the one-at-a-time reference engine.
-  bool PopExpected(EventId id, TimePoint t);
   // Runs all events with timestamps <= t, then sets the clock to t.
   void RunUntil(TimePoint t);
   void RunFor(Duration d) { RunUntil(now_ + d); }

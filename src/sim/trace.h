@@ -50,29 +50,10 @@ class TraceRecorder {
   void Record(TimePoint t, TraceKind kind, ThreadId thread, int64_t arg0 = 0, int64_t arg1 = 0) {
     if (enabled_) {
       const TraceEvent event{t, kind, thread, arg0, arg1};
-      if (stage_ != nullptr) {
-        stage_->push_back(event);  // Deferred: folded later via RecordEvent.
-        return;
-      }
       MixEvent(running_hash_, event);
       if (!hash_only_) {
         events_.push_back(event);
       }
-    }
-  }
-
-  // Staging: while a stage vector is installed, Record appends raw events to it
-  // instead of folding them into the hash — the parallel engine captures each core's
-  // records into a per-core lane, then replays the lanes in fixed core order through
-  // RecordEvent at the epoch barrier, reproducing the reference engine's exact fold
-  // order. Install nullptr to return to direct recording.
-  void SetStage(std::vector<TraceEvent>* stage) { stage_ = stage; }
-
-  // Folds one previously staged event exactly as a direct Record would have.
-  void RecordEvent(const TraceEvent& event) {
-    MixEvent(running_hash_, event);
-    if (!hash_only_) {
-      events_.push_back(event);
     }
   }
 
@@ -126,7 +107,6 @@ class TraceRecorder {
 
   bool enabled_ = false;
   bool hash_only_ = false;
-  std::vector<TraceEvent>* stage_ = nullptr;  // Borrowed; see SetStage.
   std::vector<TraceEvent> events_;
   uint64_t running_hash_ = kFnvOffset;
 };

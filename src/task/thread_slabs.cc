@@ -51,7 +51,7 @@ int32_t ThreadSlabs::Bind(SimThread* thread) {
   thread_[i] = thread;
   SeedColumns(slot, *thread);
   if (state_[i] == ThreadState::kRunnable) {
-    BumpRunnable(1);
+    ++runnable_count_;
   }
   ++live_count_;
 
@@ -74,7 +74,7 @@ void ThreadSlabs::Release(SimThread* thread) {
   const size_t i = static_cast<size_t>(slot);
   RR_EXPECTS(thread_[i] == thread);
   if (state_[i] == ThreadState::kRunnable) {
-    BumpRunnable(-1);
+    --runnable_count_;
   }
   --live_count_;
   // Inert values: sweeps (reserved filter, census, runnable checks) skip the hole

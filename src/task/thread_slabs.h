@@ -29,10 +29,12 @@
 //     every thread at Create and never releasing, slot == id and slot order == the
 //     registry's creation order, which is what keeps column sweeps bit-identical
 //     (including floating-point sum order) to the SimThread* sweeps they replace.
+//
+// Thread-safety: none. Columns are read and written only from simulator events, on
+// the one host thread that drives the event loop.
 #ifndef REALRATE_TASK_THREAD_SLABS_H_
 #define REALRATE_TASK_THREAD_SLABS_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -74,22 +76,8 @@ class ThreadSlabs {
   int32_t slot_count() const { return static_cast<int32_t>(thread_.size()); }
   int64_t live_count() const { return live_count_; }
   // Bound threads whose state column is kRunnable — the Machine's O(1)
-  // idle-suspension check. Atomic (relaxed) because it is the one machine-wide
-  // counter that state write-throughs touch from inside a parallel tick round,
-  // where each host thread flips only its own core's threads; readers only run
-  // at the epoch barrier, after the round's writes are already ordered.
-  int64_t runnable_count() const { return runnable_count_.load(std::memory_order_relaxed); }
-
-  // Concurrent-round mode: while true, runnable-count updates use an atomic RMW
-  // (multiple host threads bump the counter from inside a fanned dispatch round);
-  // while false — the sequential engine, and everything fenced to epoch
-  // boundaries (Bind/Release, wakes, migrations) — they use a plain load+store,
-  // which keeps the lock prefix out of the bind/release and dispatch hot loops.
-  // The Machine toggles this around ParallelEngine::RunRound; the engine's
-  // fork/join ordering publishes the flag to the workers. Const (with a mutable
-  // flag) because it selects the counter-update instruction without changing
-  // any observable column value — the Machine only holds a const view.
-  void set_shared_mode(bool shared) const { shared_mode_ = shared; }
+  // idle-suspension check.
+  int64_t runnable_count() const { return runnable_count_; }
 
   // Back-pointers. thread_at is nullptr for a free slot.
   SimThread* thread_at(int32_t slot) const { return thread_[static_cast<size_t>(slot)]; }
@@ -129,11 +117,7 @@ class ThreadSlabs {
 
   void MirrorState(int32_t slot, ThreadState s) {
     const size_t i = static_cast<size_t>(slot);
-    const int64_t delta =
-        (s == ThreadState::kRunnable) - (state_[i] == ThreadState::kRunnable);
-    if (delta != 0) {
-      BumpRunnable(delta);
-    }
+    runnable_count_ += (s == ThreadState::kRunnable) - (state_[i] == ThreadState::kRunnable);
     state_[i] = s;
   }
   void MirrorClass(int32_t slot, ThreadClass c) { class_[static_cast<size_t>(slot)] = c; }
@@ -152,17 +136,6 @@ class ThreadSlabs {
 
   void SeedColumns(int32_t slot, const SimThread& t);
 
-  // See set_shared_mode: RMW only while a parallel round is in flight; the
-  // single-writer phases take the cheap non-RMW path.
-  void BumpRunnable(int64_t delta) {
-    if (shared_mode_) {
-      runnable_count_.fetch_add(delta, std::memory_order_relaxed);
-    } else {
-      runnable_count_.store(runnable_count_.load(std::memory_order_relaxed) + delta,
-                            std::memory_order_relaxed);
-    }
-  }
-
   // One entry per slot. Parallel vectors rather than a struct so each sweep streams
   // only the bytes it reads.
   std::vector<SimThread*> thread_;
@@ -180,8 +153,7 @@ class ThreadSlabs {
   std::vector<int32_t> slot_of_id_;  // Dense ThreadId -> slot (kNoSlot when unbound).
   std::vector<int32_t> free_slots_;  // LIFO recycling.
   int64_t live_count_ = 0;
-  std::atomic<int64_t> runnable_count_{0};
-  mutable bool shared_mode_ = false;
+  int64_t runnable_count_ = 0;
 };
 
 // Bump allocator for SimThread records: fixed-size chunks, placement-new, stable

@@ -5,24 +5,11 @@
 #define REALRATE_TASK_WORK_MODEL_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "util/time.h"
 #include "util/types.h"
 
 namespace realrate {
-
-class BoundedBuffer;
-
-// One planned queue operation for a gated parallel round: conservative upper bounds
-// on the bytes this thread will push to / pop from `queue` over one dispatch tick.
-// The Machine's mailbox gate sums these per queue and admits the round only when no
-// interleaving can reach a full/empty edge (see Machine::RoundPlanIsFeasible).
-struct RoundQueueOp {
-  BoundedBuffer* queue = nullptr;
-  int64_t push_bytes = 0;  // Upper bound on bytes pushed this tick (0 = no pushes).
-  int64_t pop_bytes = 0;   // Upper bound on bytes popped this tick (0 = no pops).
-};
 
 // Outcome of one scheduling slice.
 struct RunResult {
@@ -68,46 +55,6 @@ class WorkModel {
 
   // Notification that the thread was woken after blocking/sleeping.
   virtual void OnWake(TimePoint /*now*/) {}
-
-  // How many cycles, starting at `now`, this model can consume with NO side effects
-  // outside the owning thread — no queue/mutex/tty traffic, no blocking, no sleeping,
-  // no exiting: every Run over the span returns kRunnable and touches only the
-  // thread's own counters. The Machine's parallel engine runs a tick round across
-  // host threads only when every runnable thread answers at least a full tick
-  // (anything else falls back to the sequential reference path), so the conservative
-  // default of 0 is always safe. Models that are provably thread-local (the CPU hogs)
-  // override this to admit their rounds.
-  virtual Cycles RoundLocalCycles(TimePoint /*now*/) const { return 0; }
-
-  // Round queue plan: the mailbox gate's per-thread contract. Appends to `ops` one
-  // entry per queue this model may touch during a dispatch tick at `now` in which it
-  // receives at most `budget` cycles, with conservative upper bounds on the bytes
-  // moved, and returns true — promising that, PROVIDED every listed push succeeds and
-  // every listed pop returns its full request, any dispatch sequence totaling at most
-  // `budget` cycles (i) touches no queue/mutex/tty other than the listed queues and
-  // stays within the listed bounds, (ii) leaves the thread runnable throughout (no
-  // block, sleep, or exit), and (iii) has no other cross-thread effects beyond what
-  // round staging defers (BeginRoundStaging below). Models whose next ops depend on
-  // data another thread could produce THIS round (e.g. a consumer whose budget
-  // outruns the input present at round start) must return false — a data-limited
-  // plan; list the limiting queue in `ops` (bounds ignored) so the gate's failure
-  // cache can key on its change epoch. The default — return false, list nothing —
-  // is always safe and takes the sequential path.
-  virtual bool PlanRoundQueueOps(TimePoint /*now*/, Cycles /*budget*/,
-                                 std::vector<RoundQueueOp>* /*ops*/) {
-    return false;
-  }
-
-  // Round staging: bracketing hooks for models admitted to a mailbox round whose
-  // side effects include non-queue shared state (a side-band meta FIFO another
-  // core's thread pushes, a shared sample set). Between BeginRoundStaging and
-  // FlushRoundEffects, Run must buffer such effects locally; FlushRoundEffects —
-  // invoked by the coordinator at the epoch barrier, cores in ascending order —
-  // applies them. Per shared structure at most one staging writer is admitted per
-  // round (the gate's single-pusher rule), so the flushed order equals the
-  // sequential engine's. Models with no such effects ignore both.
-  virtual void BeginRoundStaging() {}
-  virtual void FlushRoundEffects() {}
 
   // Called once by ThreadRegistry::Create to attach the owning thread. Work models use
   // it for wait registration (they need the thread id) and progress counters.

@@ -1,7 +1,6 @@
 #include "workloads/misc_work.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "task/thread.h"
 #include "util/assert.h"
@@ -30,14 +29,6 @@ RunResult DelayedHogWork::Run(TimePoint now, Cycles granted) {
   }
   self()->AddProgress(granted);
   return RunResult::Ran(granted);
-}
-
-Cycles CpuHogWork::RoundLocalCycles(TimePoint /*now*/) const {
-  return std::numeric_limits<Cycles>::max();
-}
-
-Cycles DelayedHogWork::RoundLocalCycles(TimePoint now) const {
-  return now >= start_at_ ? std::numeric_limits<Cycles>::max() : 0;
 }
 
 SpinWaitWork::SpinWaitWork(TtyPort* tty) : tty_(tty) { RR_EXPECTS(tty != nullptr); }

@@ -29,8 +29,6 @@ class CpuHogWork : public WorkModel {
  public:
   explicit CpuHogWork(Cycles cycles_per_key = 1000);
   RunResult Run(TimePoint now, Cycles granted) override;
-  // Purely thread-local: consumes any grant, only bumps its own key counter.
-  Cycles RoundLocalCycles(TimePoint now) const override;
 
  private:
   const Cycles cycles_per_key_;
@@ -44,8 +42,6 @@ class DelayedHogWork : public WorkModel {
  public:
   explicit DelayedHogWork(TimePoint start_at) : start_at_(start_at) {}
   RunResult Run(TimePoint now, Cycles granted) override;
-  // Thread-local once started; before start_at_ the first Run sleeps (not local).
-  Cycles RoundLocalCycles(TimePoint now) const override;
 
  private:
   const TimePoint start_at_;

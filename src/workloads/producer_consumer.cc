@@ -40,21 +40,6 @@ RunResult ProducerWork::Run(TimePoint now, Cycles granted) {
   return RunResult::Ran(used);
 }
 
-bool ProducerWork::PlanRoundQueueOps(TimePoint now, Cycles budget,
-                                     std::vector<RoundQueueOp>* ops) {
-  // Item j is pushed only if its cumulative completion cost fits the budget:
-  // j * cycles_per_item - into_item <= budget. A previously blocked producer re-enters
-  // with into_item == cycles_per_item (the pending item re-pushes at zero cost); the
-  // same formula covers it. Item size is schedule(now), constant across this tick.
-  const int64_t items = (into_item_ + budget) / cycles_per_item_;
-  if (items > 0) {
-    const auto bytes =
-        std::max<int64_t>(1, static_cast<int64_t>(bytes_per_item_.ValueAt(now)));
-    ops->push_back({out_, items * bytes, 0});
-  }
-  return true;
-}
-
 PacedProducerWork::PacedProducerWork(BoundedBuffer* out, int64_t item_bytes,
                                      Duration interval, Cycles cycles_per_item)
     : out_(out), item_bytes_(item_bytes), interval_(interval),
@@ -116,20 +101,6 @@ RunResult ConsumerWork::Run(TimePoint /*now*/, Cycles granted) {
   return RunResult::Ran(used);
 }
 
-bool ConsumerWork::PlanRoundQueueOps(TimePoint /*now*/, Cycles budget,
-                                     std::vector<RoundQueueOp>* ops) {
-  // Each pop requests floor(remaining / cycles_per_byte) bytes, so total popped bytes
-  // never exceed floor(budget / cycles_per_byte) (floor is superadditive). The gate's
-  // `pop bound <= fill` admission check then guarantees every pop — in either engine —
-  // returns its full request: fill only grows from other endpoints mid-round, and this
-  // thread is the queue's sole popper.
-  const int64_t bound = budget / cycles_per_byte_;
-  if (bound > 0) {
-    ops->push_back({in_, 0, bound});
-  }
-  return true;
-}
-
 PipelineStageWork::PipelineStageWork(BoundedBuffer* in, BoundedBuffer* out,
                                      Cycles cycles_per_byte, double amplification,
                                      int64_t chunk_bytes)
@@ -180,50 +151,6 @@ RunResult PipelineStageWork::Run(TimePoint /*now*/, Cycles granted) {
     chunk_in_flight_ = 0;
   }
   return RunResult::Ran(used);
-}
-
-bool PipelineStageWork::PlanRoundQueueOps(TimePoint /*now*/, Cycles budget,
-                                          std::vector<RoundQueueOp>* ops) {
-  // Replay the slice machine symbolically. Flushing pending output and popping are
-  // free; only processing burns cycles. Pop #k (k >= 1 new pops this round) is issued
-  // at cumulative cost rem + (k-1) * chunk_cost, where rem finishes the in-flight
-  // chunk, and is reachable iff that cost is strictly below the budget.
-  const Cycles chunk_cost = chunk_bytes_ * cycles_per_byte_;
-  const Cycles rem =
-      chunk_in_flight_ > 0 ? chunk_in_flight_ * cycles_per_byte_ - into_chunk_ : 0;
-  int64_t new_pops = 0;
-  if (budget > rem) {
-    new_pops = 1 + (budget - rem - 1) / chunk_cost;
-  }
-  // Data limit: every reachable pop must find a full chunk in the ROUND-START fill.
-  // The single-popper rule makes fill monotone non-decreasing apart from our own
-  // pops, so start-fill coverage implies full chunks at every pop in both engines.
-  // Same-round upstream production could feed the sequential engine beyond that —
-  // so an uncovered pop means the engines could diverge: fail, listing `in_` for
-  // the gate's failure cache.
-  if (new_pops * chunk_bytes_ > in_->fill()) {
-    ops->push_back({in_, 0, 0});
-    return false;
-  }
-  // Push bound: pending output flushes first, the in-flight chunk's output lands if
-  // it can finish, and each completed new chunk emits its amplified size. Completion
-  // at exactly the budget still pushes (the flush is free on the next iteration).
-  int64_t push_bound = pending_out_;
-  if (chunk_in_flight_ > 0 && rem <= budget) {
-    push_bound += std::max<int64_t>(
-        1, static_cast<int64_t>(chunk_in_flight_ * amplification_));
-  }
-  int64_t completed_new = budget >= rem ? (budget - rem) / chunk_cost : 0;
-  completed_new = std::min(completed_new, new_pops);
-  push_bound += completed_new *
-                std::max<int64_t>(1, static_cast<int64_t>(chunk_bytes_ * amplification_));
-  if (new_pops > 0) {
-    ops->push_back({in_, 0, new_pops * chunk_bytes_});
-  }
-  if (push_bound > 0) {
-    ops->push_back({out_, push_bound, 0});
-  }
-  return true;
 }
 
 }  // namespace realrate

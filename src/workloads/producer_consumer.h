@@ -19,11 +19,6 @@ class ProducerWork : public WorkModel {
   ProducerWork(BoundedBuffer* out, Cycles cycles_per_item, RateSchedule bytes_per_item);
 
   RunResult Run(TimePoint now, Cycles granted) override;
-  // Pushes at most floor((into_item + budget) / cycles_per_item) items of the
-  // current schedule size (a pure function of `now`, constant across one tick);
-  // blocks only on a failed push, which the gate rules out. Always plannable.
-  bool PlanRoundQueueOps(TimePoint now, Cycles budget,
-                         std::vector<RoundQueueOp>* ops) override;
 
   int64_t items_produced() const { return items_; }
 
@@ -67,12 +62,6 @@ class ConsumerWork : public WorkModel {
   ConsumerWork(BoundedBuffer* in, Cycles cycles_per_byte);
 
   RunResult Run(TimePoint now, Cycles granted) override;
-  // Pops at most floor(budget / cycles_per_byte) bytes; the gate's fill check turns
-  // that bound into a full-request guarantee (every partial pop below it is covered
-  // by floor superadditivity). Always plannable — data limits surface as gate
-  // infeasibility, not a plan failure.
-  bool PlanRoundQueueOps(TimePoint now, Cycles budget,
-                         std::vector<RoundQueueOp>* ops) override;
 
   int64_t bytes_consumed() const { return bytes_; }
 
@@ -91,14 +80,6 @@ class PipelineStageWork : public WorkModel {
                     double amplification, int64_t chunk_bytes);
 
   RunResult Run(TimePoint now, Cycles granted) override;
-  // Walks the slice machine against `budget`: finish the in-flight chunk, then
-  // pop/process whole chunks as cycles allow. Pops are exact (chunk_bytes each), so
-  // the plan is data-limited — if the reachable pop count exceeds the round-start
-  // input fill, it returns false listing `in` (the sequential engine might see
-  // same-round production we cannot). Pushes are bounded above by pending output
-  // plus the outputs of every chunk that can complete within the budget.
-  bool PlanRoundQueueOps(TimePoint now, Cycles budget,
-                         std::vector<RoundQueueOp>* ops) override;
 
   int64_t bytes_processed() const { return bytes_; }
 

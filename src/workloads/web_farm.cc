@@ -28,71 +28,13 @@ void AcceptorWork::Dispatch() {
   for (size_t i = 0; i < n; ++i) {
     RequestStream* w = workers_[(start + i) % n];
     if (w->buffer->TryPush(current_.bytes)) {
-      if (staging_) {
-        // Staked round: the worker owning w may be running on another core right
-        // now. Defer the side-band append to the barrier flush.
-        staged_dispatches_.emplace_back(w, current_);
-      } else {
-        w->meta.push_back(current_);
-      }
+      w->meta.push_back(current_);
       ++accepted_;
       self()->AddProgress(1);
       return;
     }
   }
   ++dropped_;
-}
-
-bool AcceptorWork::PlanRoundQueueOps(TimePoint /*now*/, Cycles budget,
-                                     std::vector<RoundQueueOp>* ops) {
-  const size_t n = workers_.size();
-  // request_in_hand_ implies into_accept_ < accept_cycles_ (a finished accept
-  // dispatches within its own iteration), so the in-hand remainder r is positive
-  // exactly when a request is in hand.
-  const Cycles r = request_in_hand_ ? accept_cycles_ - into_accept_ : 0;
-  const int64_t new_pops = budget > r ? 1 + (budget - r - 1) / accept_cycles_ : 0;
-  if (new_pops > static_cast<int64_t>(listen_->meta.size())) {
-    ops->push_back({listen_->buffer, 0, 0});
-    return false;  // Data-limited: the budget outruns the round-start backlog.
-  }
-  int64_t pop_bytes = 0;
-  for (int64_t k = 0; k < new_pops; ++k) {
-    pop_bytes += listen_->meta[static_cast<size_t>(k)].bytes;
-  }
-  if (pop_bytes > 0) {
-    ops->push_back({listen_->buffer, 0, pop_bytes});
-  }
-  // Dispatch d targets workers_[(rr_ + d) % n]: the gate's per-queue headroom check
-  // means a planned push never fails, so the cursor advances without skips and the
-  // actual dispatches form a prefix of this planned sequence. The in-hand request
-  // completes iff r fits the budget; popped request #k completes at r + k * accept.
-  per_worker_scratch_.assign(n, 0);
-  int64_t d = 0;
-  if (request_in_hand_ && r <= budget) {
-    per_worker_scratch_[(rr_ + static_cast<size_t>(d)) % n] += current_.bytes;
-    ++d;
-  }
-  int64_t completed_new = budget >= r ? (budget - r) / accept_cycles_ : 0;
-  completed_new = std::min(completed_new, new_pops);
-  for (int64_t k = 0; k < completed_new; ++k) {
-    per_worker_scratch_[(rr_ + static_cast<size_t>(d)) % n] +=
-        listen_->meta[static_cast<size_t>(k)].bytes;
-    ++d;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (per_worker_scratch_[i] > 0) {
-      ops->push_back({workers_[i]->buffer, per_worker_scratch_[i], 0});
-    }
-  }
-  return true;
-}
-
-void AcceptorWork::FlushRoundEffects() {
-  staging_ = false;
-  for (auto& [stream, request] : staged_dispatches_) {
-    stream->meta.push_back(request);
-  }
-  staged_dispatches_.clear();
 }
 
 RunResult AcceptorWork::Run(TimePoint /*now*/, Cycles granted) {
@@ -152,52 +94,13 @@ RunResult WebWorkerWork::Run(TimePoint now, Cycles granted) {
       // rather than quantized to the dispatch tick.
       const double completion_s = (now - TimePoint::Origin()).ToSeconds() +
                                   static_cast<double>(used) / clock_hz_;
-      const double latency_s = completion_s - current_.arrival.ToSeconds();
-      if (staging_) {
-        // Staked round: the SampleSet is shared farm-wide. Stage and flush at the
-        // barrier; the value itself is identical (now/used are deterministic).
-        staged_latencies_.push_back(latency_s);
-      } else {
-        latencies_->Add(latency_s);
-      }
+      latencies_->Add(completion_s - current_.arrival.ToSeconds());
       request_in_hand_ = false;
       ++served_;
       self()->AddProgress(1);
     }
   }
   return RunResult::Ran(used);
-}
-
-bool WebWorkerWork::PlanRoundQueueOps(TimePoint /*now*/, Cycles budget,
-                                      std::vector<RoundQueueOp>* ops) {
-  // Cumulative cost before pop #j = in-hand remainder + service of entries 0..j-1.
-  // A pop is issued whenever that cost is strictly under the budget (starting a
-  // request is itself free). Zero-service entries keep `spent` flat, so they drain
-  // until the backlog runs out and the plan correctly fails as data-limited.
-  Cycles spent = request_in_hand_ ? current_.service_cycles - into_request_ : 0;
-  int64_t pop_bytes = 0;
-  size_t j = 0;
-  while (spent < budget) {
-    if (j >= in_->meta.size()) {
-      ops->push_back({in_->buffer, 0, 0});
-      return false;  // Data-limited: the budget outruns the round-start backlog.
-    }
-    pop_bytes += in_->meta[j].bytes;
-    spent += in_->meta[j].service_cycles;
-    ++j;
-  }
-  if (pop_bytes > 0) {
-    ops->push_back({in_->buffer, 0, pop_bytes});
-  }
-  return true;
-}
-
-void WebWorkerWork::FlushRoundEffects() {
-  staging_ = false;
-  for (double latency_s : staged_latencies_) {
-    latencies_->Add(latency_s);
-  }
-  staged_latencies_.clear();
 }
 
 int64_t WebFarmInstance::accepted() const {
@@ -377,8 +280,6 @@ WebFarmResult RunWebFarmScenario(const WebFarmParams& params) {
       static_cast<double>(system.sim().UsedAllCpus(CpuUse::kUser)) /
       (per_core_capacity * params.num_cpus);
   result.total_dispatches = system.machine().dispatches();
-  result.parallel_rounds = system.machine().parallel_rounds();
-  result.mailbox_rounds = system.machine().mailbox_rounds();
   result.squish_events = system.controller().squish_events();
   result.quality_exceptions = system.controller().quality_exceptions();
   result.trace_hash = system.sim().trace().Hash();

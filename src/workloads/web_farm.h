@@ -10,8 +10,8 @@
 // the regimes the closed-loop fuzzer cannot reach (ROADMAP item 4).
 //
 // Determinism: the whole farm is a pure function of (params, request stream). The
-// same seed — or the same replay log — produces a bit-identical trace at any
-// host-thread count, pinned by tests/web_farm_test.cc and tools/trace_replay.
+// same seed — or the same replay log — produces a bit-identical trace on every run,
+// pinned by tests/web_farm_test.cc and tools/trace_replay.
 #ifndef REALRATE_WORKLOADS_WEB_FARM_H_
 #define REALRATE_WORKLOADS_WEB_FARM_H_
 
@@ -59,20 +59,6 @@ class AcceptorWork : public WorkModel {
                Cycles accept_cycles);
 
   RunResult Run(TimePoint now, Cycles granted) override;
-  // Pop #k off the listen stream is reachable at cumulative cost r + (k-1) *
-  // accept_cycles (r = the in-hand remainder); a reachable pop beyond the
-  // round-start backlog is data-limited (the sequential engine could see
-  // same-round arrivals) and fails the plan. Dispatch targets are exact: a
-  // planned push never fails, so the round-robin cursor never skips and dispatch
-  // d lands on workers[(rr + d) % n] in both engines.
-  bool PlanRoundQueueOps(TimePoint now, Cycles budget,
-                         std::vector<RoundQueueOp>* ops) override;
-  // Inside a staked round the side-band meta push_backs are cross-core-visible
-  // (the target worker runs elsewhere), so they are staged here and flushed at
-  // the barrier in core order — reproducing the sequential engine's per-thread
-  // effect order (this acceptor is each entry's sole writer).
-  void BeginRoundStaging() override { staging_ = true; }
-  void FlushRoundEffects() override;
 
   int64_t accepted() const { return accepted_; }
   int64_t dropped() const { return dropped_; }
@@ -90,9 +76,6 @@ class AcceptorWork : public WorkModel {
   size_t rr_ = 0;
   int64_t accepted_ = 0;
   int64_t dropped_ = 0;
-  bool staging_ = false;  // True inside a staked parallel round.
-  std::vector<std::pair<RequestStream*, PendingRequest>> staged_dispatches_;
-  std::vector<int64_t> per_worker_scratch_;  // Plan-time push-byte sums per worker.
 };
 
 // Drains one worker queue: pops a request, spends its service_cycles, then records
@@ -103,21 +86,6 @@ class WebWorkerWork : public WorkModel {
   WebWorkerWork(RequestStream* in, double clock_hz, SampleSet* latencies);
 
   RunResult Run(TimePoint now, Cycles granted) override;
-  // Walks the round-start backlog front to back: request j is popped iff the
-  // cumulative service cost before it is strictly under the budget. If the budget
-  // outruns the backlog (including the degenerate zero-service-cycle case, which
-  // no cycle budget can bound), the plan fails data-limited listing the input
-  // buffer — the sequential engine could serve same-round dispatches.
-  bool PlanRoundQueueOps(TimePoint now, Cycles budget,
-                         std::vector<RoundQueueOp>* ops) override;
-  // Latency samples go to a farm-wide SampleSet shared across workers, so staked
-  // rounds stage them and flush at the barrier. The flush preserves each worker's
-  // internal order but serializes workers in core order rather than dispatch
-  // order; the sample multiset is identical, so percentiles/min/max match the
-  // sequential engine exactly (only the float summation order behind Mean() can
-  // differ, and nothing pins that across engines).
-  void BeginRoundStaging() override { staging_ = true; }
-  void FlushRoundEffects() override;
 
   int64_t served() const { return served_; }
 
@@ -129,8 +97,6 @@ class WebWorkerWork : public WorkModel {
   bool request_in_hand_ = false;
   Cycles into_request_ = 0;
   int64_t served_ = 0;
-  bool staging_ = false;  // True inside a staked parallel round.
-  std::vector<double> staged_latencies_;
 };
 
 // Construction inputs for one farm wired into an existing machine (the differential
@@ -196,7 +162,8 @@ struct WebFarmParams {
   ArrivalConfig arrivals;
   std::vector<RequestRecord> replay;
   Duration run_for = Duration::Seconds(2);
-  int host_threads = 1;  // 1 = the sequential reference engine (Machine default).
+  // Must be 1; stays only for perfbench/rrbench.cc, goes with the next benchmark change.
+  int host_threads = 1;
   RbsConfig rbs;
   ControllerConfig controller;
   bool thread_slabs = true;
@@ -221,10 +188,6 @@ struct WebFarmResult {
   double max_ms = 0.0;
   double aggregate_user_fraction = 0.0;
   int64_t total_dispatches = 0;
-  // Parallel-engine activity: rounds fanned out at all, and the subset admitted
-  // through the mailbox gate (staked queue operations). Both 0 at host_threads = 1.
-  int64_t parallel_rounds = 0;
-  int64_t mailbox_rounds = 0;
   int64_t squish_events = 0;
   int64_t quality_exceptions = 0;
   uint64_t trace_hash = 0;

@@ -322,7 +322,7 @@ TEST(WorkloadGeneratorTest, ClusterBucketSpecsDescribeRoutableFarms) {
 
 TEST(DifferentialRunnerTest, ClusterBucketSeedPassesItsBattery) {
   // The first cluster-bucket seed must pass the cluster differential battery:
-  // M=1 pinned to a bare machine, host-thread invariance, rerun stability.
+  // M=1 pinned to a bare machine, rerun stability.
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     if (GenerateWorkload(seed).cluster.num_machines == 0) {
       continue;
@@ -333,28 +333,6 @@ TEST(DifferentialRunnerTest, ClusterBucketSeedPassesItsBattery) {
     return;
   }
   FAIL() << "no cluster bucket seed in 1..200";
-}
-
-TEST(DifferentialRunnerTest, MailboxBucketSeedStakesRoundsInTheEquivalencePass) {
-  // The first mailbox-regime bucket seed must (a) pass its battery and (b) stake
-  // queue ops through the per-core epoch mailboxes during the host-thread
-  // equivalence pass — otherwise that pass's 1-vs-N equality is vacuous for
-  // queue-driven rounds (only hog rounds would ever fan out).
-  for (uint64_t seed = 1; seed <= 200; ++seed) {
-    if (!GenerateWorkload(seed).mailbox_regime) {
-      continue;
-    }
-    SeedCheckOptions options;
-    options.run_metamorphic = false;  // The pinned pass is 1e; keep the test cheap.
-    options.equivalence_host_threads = 4;
-    const SeedReport report = CheckSeed(seed, options);
-    EXPECT_TRUE(report.ok()) << "seed " << seed << ": "
-                             << (report.failures.empty() ? "" : report.failures.front());
-    EXPECT_GT(report.equivalence_parallel_rounds, 0) << "seed " << seed;
-    EXPECT_GT(report.equivalence_mailbox_rounds, 0) << "seed " << seed;
-    return;
-  }
-  FAIL() << "no mailbox-regime bucket seed in 1..200";
 }
 
 TEST(WorkloadGeneratorTest, DeriveSeedSeparatesComponents) {
@@ -421,28 +399,6 @@ TEST(DifferentialRunnerTest, ShadowSchedulerAgreesOnOneHundredSeeds) {
     total_checks += outcome.shadow_checks;
   }
   EXPECT_GT(total_checks, 10'000);  // The pin has teeth: tens of thousands of picks.
-}
-
-TEST(DifferentialRunnerTest, HostThreadsAreTraceInvariantOnOneHundredSeeds) {
-  // The parallel-engine pin: across 100 generated workloads — every scheduler-
-  // relevant bucket the generator produces, including the high-thread-count farms —
-  // the feedback machine fanned out over 2 host threads reproduces the
-  // single-threaded run exactly. Both sides run oracle-free: an installed checker
-  // pins the machine to the sequential path, which would make the comparison
-  // vacuous. The bounded run keeps 200 full-stack runs inside the suite budget.
-  for (uint64_t seed = 1; seed <= 100; ++seed) {
-    const WorkloadSpec spec = GenerateWorkload(seed);
-    RunOptions base;
-    base.attach_oracle = false;
-    base.run_for_override = Duration::Millis(120);
-    RunOptions fanned = base;
-    fanned.host_threads = 2;
-    const RunOutcome one = RunWorkload(spec, base);
-    const RunOutcome two = RunWorkload(spec, fanned);
-    ASSERT_EQ(one.trace_hash, two.trace_hash) << "seed " << seed;
-    ASSERT_EQ(one.total_progress, two.total_progress) << "seed " << seed;
-    ASSERT_EQ(one.dispatches, two.dispatches) << "seed " << seed;
-  }
 }
 
 TEST(DifferentialRunnerTest, ShadowModeDoesNotPerturbTheSchedule) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/scenarios.h"
 #include "queue/bounded_buffer.h"
 #include "queue/registry.h"
 #include "sched/machine.h"
@@ -14,6 +15,7 @@
 #include "workloads/misc_work.h"
 #include "workloads/producer_consumer.h"
 #include "workloads/rate_schedule.h"
+#include "workloads/web_farm.h"
 
 namespace realrate {
 namespace {
@@ -316,6 +318,31 @@ TEST(MachineIdleFastForwardTest, ExternalWakeResumesSuspendedMachine) {
   EXPECT_FALSE(rig.machine->idle_suspended());
   rig.machine->RunFor(Duration::Millis(5));
   EXPECT_GT(consumer->total_cycles(), 0);
+}
+
+// Dispatch is sequential, so host_threads must be 1. The Machine rejects any other
+// value, and so does every scenario that forwards the field into its MachineConfig.
+TEST(MachineDeathTest, RejectsHostThreadsOtherThanOne) {
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        ThreadRegistry threads;
+        RbsScheduler rbs{sim.cpu()};
+        Machine machine(sim, rbs, threads, MachineConfig{.host_threads = 2});
+      },
+      "host_threads must be 1");
+}
+
+TEST(MachineDeathTest, WebFarmScenarioRejectsHostThreadsOtherThanOne) {
+  WebFarmParams params;
+  params.host_threads = 2;
+  EXPECT_DEATH(RunWebFarmScenario(params), "host_threads must be 1");
+}
+
+TEST(MachineDeathTest, ServerFarmScenarioRejectsHostThreadsOtherThanOne) {
+  ServerFarmParams params;
+  params.host_threads = 2;
+  EXPECT_DEATH(RunServerFarmScenario(params), "host_threads must be 1");
 }
 
 }  // namespace

@@ -8,12 +8,11 @@
 //
 // Usage:
 //   realrate_check [--iterations N] [--seed-base S] [--dump-dir DIR]
-//                  [--no-metamorphic] [--host-threads N] [--quiet]
+//                  [--no-metamorphic] [--quiet]
 //   realrate_check --seed S          # one seed, verbose (the repro mode)
 //
-// Every numeric flag is validated strictly: negative values, garbage, overflow, and
-// out-of-range widths (--host-threads needs >= 2; omit the flag for the hardware
-// default) are usage errors with a non-zero exit, never silently reinterpreted.
+// Every numeric flag is validated strictly: negative values, garbage, and overflow
+// are usage errors with a non-zero exit, never silently reinterpreted.
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -33,17 +32,13 @@ struct Args {
   bool single = false;
   bool metamorphic = true;
   bool quiet = false;
-  // Widest host-thread count for the host-thread equivalence pass; 0 means "use
-  // the host's hardware concurrency" (SeedCheckOptions::equivalence_host_threads).
-  int64_t host_threads = 0;
-  bool host_threads_set = false;
   std::string dump_dir = ".";
 };
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--iterations N] [--seed-base S] [--seed S] [--dump-dir DIR]\n"
-               "          [--no-metamorphic] [--host-threads N] [--quiet]\n",
+               "          [--no-metamorphic] [--quiet]\n",
                argv0);
 }
 
@@ -93,12 +88,6 @@ bool Parse(int argc, char** argv, Args& args) {
       }
       args.single_seed = value;
       args.single = true;
-    } else if (arg == "--host-threads") {
-      if (!next(value)) {
-        return false;
-      }
-      args.host_threads = static_cast<int64_t>(value);
-      args.host_threads_set = true;
     } else if (arg == "--dump-dir" && i + 1 < argc) {
       args.dump_dir = argv[++i];
     } else if (arg == "--no-metamorphic") {
@@ -112,14 +101,6 @@ bool Parse(int argc, char** argv, Args& args) {
   }
   if (args.iterations <= 0) {
     std::fprintf(stderr, "%s: --iterations must be positive\n", argv[0]);
-    return false;
-  }
-  // 0 stays the internal "hardware concurrency" default, but only by omitting the
-  // flag: an explicit --host-threads 0 (or 1) asks for a fan-out width that cannot
-  // exercise the parallel engine, which is operator error, not a configuration.
-  if (args.host_threads_set && args.host_threads < 2) {
-    std::fprintf(stderr, "%s: --host-threads must be >= 2 (omit for the hardware default)\n",
-                 argv[0]);
     return false;
   }
   return true;
@@ -170,7 +151,6 @@ int main(int argc, char** argv) {
   }
   realrate::SeedCheckOptions options;
   options.run_metamorphic = args.metamorphic;
-  options.equivalence_host_threads = static_cast<int>(args.host_threads);
 
   if (args.single) {
     const realrate::SeedReport report = realrate::CheckSeed(args.single_seed, options);
@@ -183,24 +163,12 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Vacuity accounting for the host-thread equivalence pass: across the battery,
-  // how many rounds actually fanned out, how many staked queue ops through the
-  // per-core epoch mailboxes, and how many seeds came from the generator's
-  // mailbox-regime bucket. If bucket seeds were generated but not one round
-  // staked, the 1-vs-N equality quietly stopped testing parallel queue rounds —
-  // that is a harness regression, failed as loudly as a trace divergence.
-  int64_t total_parallel_rounds = 0;
-  int64_t total_mailbox_rounds = 0;
-  int64_t mailbox_regime_seeds = 0;
   for (int64_t i = 0; i < args.iterations; ++i) {
     const uint64_t seed = args.seed_base + static_cast<uint64_t>(i);
     const realrate::SeedReport report = realrate::CheckSeed(seed, options);
     if (!report.ok()) {
       return ReportFailure(args, report);
     }
-    total_parallel_rounds += report.equivalence_parallel_rounds;
-    total_mailbox_rounds += report.equivalence_mailbox_rounds;
-    mailbox_regime_seeds += report.spec.mailbox_regime ? 1 : 0;
     if (!args.quiet && (i + 1) % 25 == 0) {
       std::printf("%lld/%lld seeds ok (last: %llu)\n", static_cast<long long>(i + 1),
                   static_cast<long long>(args.iterations),
@@ -214,20 +182,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(args.seed_base),
                 static_cast<unsigned long long>(args.seed_base +
                                                 static_cast<uint64_t>(args.iterations) - 1));
-    std::printf("host-thread equivalence: %lld rounds fanned out, %lld staked queue "
-                "ops via mailboxes (%lld mailbox-regime seeds)\n",
-                static_cast<long long>(total_parallel_rounds),
-                static_cast<long long>(total_mailbox_rounds),
-                static_cast<long long>(mailbox_regime_seeds));
-  }
-  if (mailbox_regime_seeds > 0 && total_mailbox_rounds == 0) {
-    std::fprintf(stderr,
-                 "FAIL vacuity: %lld mailbox-regime seeds ran the host-thread "
-                 "equivalence pass but zero rounds staked queue ops through the "
-                 "mailboxes — the 1-vs-N comparison no longer exercises parallel "
-                 "queue rounds\n",
-                 static_cast<long long>(mailbox_regime_seeds));
-    return 1;
   }
   return 0;
 }

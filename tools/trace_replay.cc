@@ -6,17 +6,16 @@
 //       Materializes a seeded arrival stream (offered load = ratio x farm
 //       capacity) and writes it as a request log ("-" = stdout).
 //
-//   trace_replay --replay FILE [--cpus N] [--workers N] [--host-threads N]
-//                [--horizon-ms M]
+//   trace_replay --replay FILE [--cpus N] [--workers N] [--horizon-ms M]
 //       Runs the log through the farm and prints the latency columns, drop
 //       counts, and the trace hash. The run is a pure function of (log, flags):
-//       the same log replays to a bit-identical trace, at any host-thread count.
+//       the same log replays to a bit-identical trace.
 //
 //   trace_replay --selfcheck [--seed N]
 //       The determinism contract, end to end: generate -> serialize -> parse ->
 //       replay, asserting the parsed stream round-trips exactly and that the
-//       seed-driven run, the replayed run, and a host_threads=4 replayed run all
-//       produce the same trace hash. Registered as a CTest smoke in every matrix.
+//       seed-driven run and the replayed run produce the same trace hash.
+//       Registered as a CTest smoke in every matrix.
 //
 // Log format: see workloads/request_log.h (one `arrival_ns bytes service_cycles`
 // line per request; `#` comments).
@@ -55,15 +54,13 @@ struct Args {
   ArrivalConfig::Kind kind = ArrivalConfig::Kind::kPoisson;
   int64_t cpus = 4;
   int64_t workers = 8;
-  int64_t host_threads = 1;
 };
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --generate FILE [--seed N] [--horizon-ms M] [--ratio X]\n"
                "          [--kind poisson|sessions]\n"
-               "       %s --replay FILE [--cpus N] [--workers N] [--host-threads N]\n"
-               "          [--horizon-ms M]\n"
+               "       %s --replay FILE [--cpus N] [--workers N] [--horizon-ms M]\n"
                "       %s --selfcheck [--seed N]\n",
                argv0, argv0, argv0);
 }
@@ -160,12 +157,6 @@ bool Parse(int argc, char** argv, Args& args) {
         return false;
       }
       args.workers = static_cast<int64_t>(value);
-    } else if (arg == "--host-threads") {
-      if (!next_u64(value) || value < 1) {
-        std::fprintf(stderr, "%s: --host-threads must be >= 1\n", argv[0]);
-        return false;
-      }
-      args.host_threads = static_cast<int64_t>(value);
     } else {
       Usage(argv[0]);
       return false;
@@ -185,7 +176,6 @@ WebFarmParams FarmParams(const Args& args, Duration run_for) {
   WebFarmParams params;
   params.num_cpus = static_cast<int>(args.cpus);
   params.num_workers = static_cast<int>(args.workers);
-  params.host_threads = static_cast<int>(args.host_threads);
   params.run_for = run_for;
   return params;
 }
@@ -318,7 +308,7 @@ int Selfcheck(const Args& args) {
     return 1;
   }
 
-  // 2. Seed-driven and replayed runs are bit-identical, at 1 and 4 host threads.
+  // 2. Seed-driven and replayed runs are bit-identical.
   WebFarmParams seeded = FarmParams(shaped, horizon);
   seeded.arrivals = config;
   const WebFarmResult from_seed = RunWebFarmScenario(seeded);
@@ -327,10 +317,6 @@ int Selfcheck(const Args& args) {
   replayed.replay = reparsed;
   const WebFarmResult from_log = RunWebFarmScenario(replayed);
 
-  WebFarmParams fanned = replayed;
-  fanned.host_threads = 4;
-  const WebFarmResult from_log_mt = RunWebFarmScenario(fanned);
-
   if (from_seed.trace_hash != from_log.trace_hash ||
       from_seed.served != from_log.served) {
     std::fprintf(stderr, "selfcheck: seed run and replay diverged (hash %llu vs %llu)\n",
@@ -338,60 +324,14 @@ int Selfcheck(const Args& args) {
                  static_cast<unsigned long long>(from_log.trace_hash));
     return 1;
   }
-  if (from_log.trace_hash != from_log_mt.trace_hash ||
-      from_log.served != from_log_mt.served) {
-    std::fprintf(stderr,
-                 "selfcheck: host_threads 1 and 4 diverged (hash %llu vs %llu)\n",
-                 static_cast<unsigned long long>(from_log.trace_hash),
-                 static_cast<unsigned long long>(from_log_mt.trace_hash));
-    return 1;
-  }
   if (from_seed.served == 0) {
     std::fprintf(stderr, "selfcheck: nothing served\n");
     return 1;
   }
 
-  // 3. A mailbox-eligible farm: at 85% of capacity (no sustained overload, so
-  // queues keep both a fill cushion and headroom) the acceptor's scatter and the
-  // workers' drains stay within the per-core epoch mailbox gate's bounds. The
-  // 4-host-thread replay must actually stake rounds — otherwise the host-thread
-  // equality above is vacuous for queue-driven rounds — and still reproduce the
-  // sequential trace bit for bit.
-  Args steady = args;
-  steady.ratio = 0.85;
-  const std::vector<RequestRecord> steady_records =
-      GenerateRequests(StreamConfig(steady), horizon);
-  WebFarmParams steady_seq = FarmParams(steady, horizon);
-  steady_seq.replay = steady_records;
-  const WebFarmResult steady_one = RunWebFarmScenario(steady_seq);
-  WebFarmParams steady_par = FarmParams(steady, horizon);
-  steady_par.replay = steady_records;
-  steady_par.host_threads = 4;
-  const WebFarmResult steady_four = RunWebFarmScenario(steady_par);
-  if (steady_four.mailbox_rounds <= 0 || steady_four.parallel_rounds <= 0) {
-    std::fprintf(stderr,
-                 "selfcheck: the 85%%-capacity replay staked no mailbox rounds "
-                 "(parallel=%lld mailbox=%lld) — the host-thread equality is "
-                 "vacuous for queue-driven rounds\n",
-                 static_cast<long long>(steady_four.parallel_rounds),
-                 static_cast<long long>(steady_four.mailbox_rounds));
-    return 1;
-  }
-  if (steady_one.trace_hash != steady_four.trace_hash ||
-      steady_one.served != steady_four.served) {
-    std::fprintf(stderr,
-                 "selfcheck: mailbox replay diverged at host_threads 4 (hash %llu "
-                 "vs %llu)\n",
-                 static_cast<unsigned long long>(steady_one.trace_hash),
-                 static_cast<unsigned long long>(steady_four.trace_hash));
-    return 1;
-  }
-
-  std::printf("selfcheck ok: %zu requests, served=%lld, trace_hash=%llu, "
-              "mailbox_rounds=%lld\n",
+  std::printf("selfcheck ok: %zu requests, served=%lld, trace_hash=%llu\n",
               records.size(), static_cast<long long>(from_seed.served),
-              static_cast<unsigned long long>(from_seed.trace_hash),
-              static_cast<long long>(steady_four.mailbox_rounds));
+              static_cast<unsigned long long>(from_seed.trace_hash));
   return 0;
 }
 
