@@ -17,13 +17,13 @@ FeedbackAllocator::FeedbackAllocator(Machine& machine, RbsScheduler& rbs, QueueR
       config_(config),
       overload_threshold_(config.overload_threshold),
       ledger_(machine.num_cpus()),
+      slabs_(*machine.registry().slabs()),
       core_requests_(static_cast<size_t>(machine.num_cpus())),
       core_slots_(static_cast<size_t>(machine.num_cpus())),
       core_grants_(static_cast<size_t>(machine.num_cpus())) {
   RR_EXPECTS(config.interval.IsPositive());
   RR_EXPECTS(config.overload_threshold > 0 && config.overload_threshold <= 1.0);
   ledger_.SetThresholdPpt(Proportion::FromFraction(overload_threshold_).ppt());
-  slabs_ = machine_.registry().slabs();
   WireScheduler(rbs_);
   // Keep the ledger registered with where each fixed reservation's proportion is
   // drawn from: the rebalancer (and PlaceAndAdmit's steering) migrate threads
@@ -81,10 +81,9 @@ const FeedbackAllocator::Controlled* FeedbackAllocator::Find(ThreadId id) const 
 
 void FeedbackAllocator::RegisterControlled(Controlled&& c) {
   // Cache the thread's slab slot (stable for its lifetime) so the per-tick sweeps
-  // read columns without re-resolving; stays kNoSlot for slab-less registries.
-  c.slab_slot = (slabs_ != nullptr && c.thread->bound_slabs() == slabs_)
-                    ? c.thread->slab_slot()
-                    : ThreadSlabs::kNoSlot;
+  // read columns without re-resolving.
+  RR_EXPECTS(c.thread->bound_slabs() == &slabs_);
+  c.slab_slot = c.thread->slab_slot();
   if (IsFixedClass(c.cls)) {
     ledger_.AddFixed(c.thread->cpu(), c.fixed_ppt);
   }
@@ -115,26 +114,17 @@ void FeedbackAllocator::RebuildSlotIndex() {
 }
 
 bool FeedbackAllocator::ExitedOf(const Controlled& c) const {
-  // state(kExited) ⇔ SimThread::HasExited(): the state column is a write-through
-  // mirror of the object's run state.
-  return c.slab_slot != ThreadSlabs::kNoSlot
-             ? slabs_->state(c.slab_slot) == ThreadState::kExited
-             : c.thread->HasExited();
+  return slabs_.state(c.slab_slot) == ThreadState::kExited;
 }
 
-CpuId FeedbackAllocator::CpuOf(const Controlled& c) const {
-  return c.slab_slot != ThreadSlabs::kNoSlot ? slabs_->cpu(c.slab_slot) : c.thread->cpu();
-}
+CpuId FeedbackAllocator::CpuOf(const Controlled& c) const { return slabs_.cpu(c.slab_slot); }
 
 double FeedbackAllocator::ImportanceOf(const Controlled& c) const {
-  return c.slab_slot != ThreadSlabs::kNoSlot ? slabs_->importance(c.slab_slot)
-                                             : c.thread->importance();
+  return slabs_.importance(c.slab_slot);
 }
 
 void FeedbackAllocator::MirrorPressure(const Controlled& c) {
-  if (c.slab_slot != ThreadSlabs::kNoSlot) {
-    slabs_->set_pressure(c.slab_slot, c.last_pressure);
-  }
+  slabs_.set_pressure(c.slab_slot, c.last_pressure);
 }
 
 // Order-preserving, unlike Remove's last-slot swap: within one run the surviving
@@ -348,13 +338,10 @@ void FeedbackAllocator::RunOncePipeline(TimePoint now) {
   // Slab shadow: after actuation every hot-field column must agree with the
   // object state of every controlled thread, and the pressure column must hold
   // exactly the pressure this tick estimated from.
-  if (config_.shadow_check && slabs_ != nullptr) {
+  if (config_.shadow_check) {
     for (const Controlled& c : controlled_) {
-      if (c.slab_slot == ThreadSlabs::kNoSlot) {
-        continue;
-      }
-      RR_CHECK(slabs_->MatchesObject(*c.thread));
-      RR_CHECK(slabs_->pressure(c.slab_slot) == c.last_pressure);
+      RR_CHECK(slabs_.MatchesObject(*c.thread));
+      RR_CHECK(slabs_.pressure(c.slab_slot) == c.last_pressure);
       ++shadow_checks_;
     }
   }

@@ -217,8 +217,8 @@ class FeedbackAllocator {
     // Per-tick scratch: written by the Sample stage, consumed by Estimate/Actuate.
     bool tick_clean = false;
     // The thread's slot in the registry's hot-field slabs (task/thread_slabs.h),
-    // cached at registration; kNoSlot when the registry runs slab-less. Stable for
-    // the thread's lifetime, so the pipeline reads columns without re-resolving.
+    // cached at registration. Stable for the thread's lifetime, so the pipeline
+    // reads columns without re-resolving.
     int32_t slab_slot = ThreadSlabs::kNoSlot;
     // Real-time / aperiodic real-time reservation, in exact integer ppt (the
     // ledger's currency). The fraction view is derived, never stored separately.
@@ -273,11 +273,11 @@ class FeedbackAllocator {
   // original sweep — removal order is schedule-visible through the squish).
   void DropExited();
   void EnsureQualityWindow(Controlled& c);
-  // Slab-column reads for the per-tick sweeps: threads bound to the registry's SoA
-  // slabs are read through their column (one contiguous stream across the controlled
-  // set) instead of a SimThread pointer chase; slab-less threads fall back to the
-  // object. Both sides are write-through mirrors of the same state, so the values
-  // are identical by construction (and shadow mode asserts it every tick).
+  // Slab-column reads for the per-tick sweeps: each controlled thread is read
+  // through its column (one contiguous stream across the controlled set) instead of
+  // a SimThread pointer chase. The columns are write-through mirrors of the object
+  // state, so the values are identical by construction (and shadow mode asserts it
+  // every tick).
   bool ExitedOf(const Controlled& c) const;
   CpuId CpuOf(const Controlled& c) const;
   double ImportanceOf(const Controlled& c) const;
@@ -327,9 +327,9 @@ class FeedbackAllocator {
   // Find, O(1) Remove by last-slot swap.
   std::unordered_map<ThreadId, size_t> slot_of_;
   BudgetLedger ledger_;
-  // The registry's hot-field slabs (null when the registry runs slab-less); the
-  // source the column helpers above read and the pressure column's write target.
-  ThreadSlabs* slabs_ = nullptr;
+  // The registry's hot-field slabs: the source the column helpers above read and
+  // the pressure column's write target.
+  ThreadSlabs& slabs_;
   // Per-core scratch reused across ticks by Resolve/Actuate.
   std::vector<std::vector<SquishRequest>> core_requests_;
   std::vector<std::vector<size_t>> core_slots_;

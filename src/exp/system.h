@@ -30,10 +30,8 @@ struct SystemConfig {
   // If false the controller is constructed but never scheduled (Fig. 8 measures the
   // dispatcher alone).
   bool start_controller = true;
-  // Hot-field slabs (task/thread_slabs.h): keep the registry's SoA columns and let
-  // the dispatch/control layers scan them. Off = every layer falls back to the
-  // SimThread pointer chase — the pre-slab memory layout, kept as the A/B reference
-  // (bench_dispatch_scale) and the trace-equality oracle's other side.
+  // Must be true; stays only for perfbench/rrbench.cc, goes with the next benchmark
+  // change. Forwarded to ThreadRegistry(bool), which aborts on false.
   bool thread_slabs = true;
 };
 

@@ -228,7 +228,6 @@ RunOutcome RunWorkload(const WorkloadSpec& spec, const RunOptions& options) {
     config.controller.use_pipeline = options.controller_use_pipeline;
     config.controller.shadow_check = options.controller_shadow_check;
     config.machine.idle_fast_forward = options.machine_idle_fast_forward;
-    config.thread_slabs = options.thread_slabs;
     System system(config);
     system.sim().trace().SetEnabled(true);
     oracle.Observe(system);
@@ -256,7 +255,7 @@ RunOutcome RunWorkload(const WorkloadSpec& spec, const RunOptions& options) {
   Simulator sim(cpu_config, num_cpus);
   MachineConfig machine_config;
   machine_config.idle_fast_forward = options.machine_idle_fast_forward;
-  ThreadRegistry threads(options.thread_slabs);
+  ThreadRegistry threads;
   QueueRegistry queues;
   std::vector<std::unique_ptr<Scheduler>> schedulers;
   std::vector<Scheduler*> raw;
@@ -425,27 +424,7 @@ SeedReport CheckSeed(uint64_t seed, const SeedCheckOptions& options) {
     }
   }
 
-  // 1c. Memory-layout equivalence: the same spec with the hot-field slabs disabled
-  // — every layer back on the pre-slab SimThread pointer chase — must schedule
-  // bit-identically. The slabs are a write-through mirror; only the memory layout
-  // may differ, never a scheduling decision.
-  {
-    RunOptions slabless;
-    slabless.thread_slabs = false;
-    slabless.collect_trace_dump = options.collect_trace_dump;
-    const RunOutcome off = RunWorkload(spec, slabless);
-    note_violations(off, "invariants [slabs off]");
-    if (off.trace_hash != feedback_trace_hash || off.total_progress != feedback_progress ||
-        off.dispatches != feedback_dispatches) {
-      report.failures.push_back(
-          "slab equivalence: slabs-on and slabs-off runs diverged (hash " +
-          std::to_string(feedback_trace_hash) + " vs " + std::to_string(off.trace_hash) +
-          ", dispatches " + std::to_string(feedback_dispatches) + " vs " +
-          std::to_string(off.dispatches) + ")");
-    }
-  }
-
-  // 1d. Pick-mode equivalence: kIndexed from the first dispatch vs the kAuto
+  // 1c. Pick-mode equivalence: kIndexed from the first dispatch vs the kAuto
   // occupancy switch (the 1b reference run above is a pure kAuto run, already
   // pinned to the same hash) — activating or never activating the indexed
   // structures mid-run must be trace-invariant.

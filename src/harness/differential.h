@@ -10,9 +10,8 @@
 //   - seed stability: the same spec on a 1-CPU machine produces the identical trace
 //     hash on every run, under every scheduler;
 //   - mode equivalence: the feedback machine re-run with the controller's reference
-//     sweep, with the hot-field slabs disabled (pre-slab memory layout), and with
-//     the RBS pick mode pinned to kIndexed must each reproduce the production
-//     run's trace bit for bit.
+//     sweep and with the RBS pick mode pinned to kIndexed must each reproduce the
+//     production run's trace bit for bit.
 //
 // CheckSeed() is the unit the realrate_check CLI and the fuzz CTest batch iterate:
 // generate the spec for a seed, run the differential battery, return every failure
@@ -62,11 +61,6 @@ struct RunOptions {
   // like the production configuration; the metamorphic battery re-runs with it off
   // and demands a bit-identical trace.
   bool machine_idle_fast_forward = true;
-  // Hot-field slabs (task/thread_slabs.h): the registry's SoA columns, scanned by
-  // the dispatch and control layers. On by default (production memory layout); the
-  // battery re-runs with them off — the pre-slab pointer-chase layout — and demands
-  // a bit-identical trace.
-  bool thread_slabs = true;
   // Feedback machine only: pin the RBS pick mode to kIndexed instead of the kAuto
   // occupancy switch, so the indexed structures run from the first dispatch. The
   // battery compares this against an auto run — crossing (or never reaching) the
@@ -105,8 +99,7 @@ RunOutcome RunWorkload(const WorkloadSpec& spec, const RunOptions& options);
 struct SeedCheckOptions {
   // Disables the metamorphic battery (clock scaling / core monotonicity / seed
   // stability), leaving the four per-scheduler invariant runs and the feedback
-  // machine's mode-equivalence runs (controller reference, slabs off, forced
-  // indexed).
+  // machine's mode-equivalence runs (controller reference, forced indexed).
   bool run_metamorphic = true;
   // Attach the first violating run's trace to the report.
   bool collect_trace_dump = true;

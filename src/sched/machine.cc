@@ -14,7 +14,7 @@ Machine::Machine(Simulator& sim, Scheduler& scheduler, ThreadRegistry& registry,
 
 Machine::Machine(Simulator& sim, std::vector<Scheduler*> schedulers, ThreadRegistry& registry,
                  const MachineConfig& config)
-    : sim_(sim), registry_(registry), config_(config), slabs_(registry.slabs()) {
+    : sim_(sim), registry_(registry), config_(config), slabs_(*registry.slabs()) {
   RR_EXPECTS(!schedulers.empty());
   RR_EXPECTS(static_cast<int>(schedulers.size()) == sim.num_cpus());
   RR_EXPECTS(config.dispatch_interval.IsPositive());
@@ -61,43 +61,24 @@ CpuId Machine::LeastLoadedCore(const SimThread* placing) const {
 }
 
 double Machine::ReservedFractionOn(CpuId core, const SimThread* excluding) const {
+  const int32_t ex = excluding != nullptr ? excluding->slab_slot() : ThreadSlabs::kNoSlot;
   double sum = 0.0;
-  if (UseColumns()) {
-    // Slot order == registry creation order, so this double sum adds the exact same
-    // terms in the exact same order as the pointer sweep — bit-identical result.
-    const int32_t ex = excluding != nullptr ? excluding->slab_slot() : ThreadSlabs::kNoSlot;
-    const int32_t n = slabs_->slot_count();
-    for (int32_t s = 0; s < n; ++s) {
-      if (s != ex && slabs_->cpu(s) == core && slabs_->state(s) != ThreadState::kExited &&
-          slabs_->policy(s) == SchedPolicy::kReservation) {
-        sum += Proportion::Ppt(slabs_->granted_ppt(s)).ToFraction();
-      }
-    }
-    return sum;
-  }
-  for (const SimThread* t : registry_.All()) {
-    if (t != excluding && t->cpu() == core && !t->HasExited() &&
-        t->policy() == SchedPolicy::kReservation) {
-      sum += t->proportion().ToFraction();
+  const int32_t n = slabs_.slot_count();
+  for (int32_t s = 0; s < n; ++s) {
+    if (s != ex && slabs_.cpu(s) == core && slabs_.state(s) != ThreadState::kExited &&
+        slabs_.policy(s) == SchedPolicy::kReservation) {
+      sum += Proportion::Ppt(slabs_.granted_ppt(s)).ToFraction();
     }
   }
   return sum;
 }
 
 int Machine::ThreadCountOn(CpuId core, const SimThread* excluding) const {
+  const int32_t ex = excluding != nullptr ? excluding->slab_slot() : ThreadSlabs::kNoSlot;
   int count = 0;
-  if (UseColumns()) {
-    const int32_t ex = excluding != nullptr ? excluding->slab_slot() : ThreadSlabs::kNoSlot;
-    const int32_t n = slabs_->slot_count();
-    for (int32_t s = 0; s < n; ++s) {
-      if (s != ex && slabs_->cpu(s) == core && slabs_->state(s) != ThreadState::kExited) {
-        ++count;
-      }
-    }
-    return count;
-  }
-  for (const SimThread* t : registry_.All()) {
-    if (t != excluding && t->cpu() == core && !t->HasExited()) {
+  const int32_t n = slabs_.slot_count();
+  for (int32_t s = 0; s < n; ++s) {
+    if (s != ex && slabs_.cpu(s) == core && slabs_.state(s) != ThreadState::kExited) {
       ++count;
     }
   }
@@ -105,34 +86,20 @@ int Machine::ThreadCountOn(CpuId core, const SimThread* excluding) const {
 }
 
 uint64_t Machine::SleepGenOf(ThreadId id) const {
-  if (slabs_ != nullptr) {
-    return static_cast<size_t>(id) < sleep_gen_dense_.size()
-               ? sleep_gen_dense_[static_cast<size_t>(id)]
-               : 0;
-  }
-  const auto it = sleep_generation_.find(id);
-  return it == sleep_generation_.end() ? 0 : it->second;
+  return static_cast<size_t>(id) < sleep_gen_.size() ? sleep_gen_[static_cast<size_t>(id)] : 0;
 }
 
 void Machine::SetSleepGen(ThreadId id, uint64_t gen) {
-  if (slabs_ != nullptr) {
-    if (static_cast<size_t>(id) >= sleep_gen_dense_.size()) {
-      sleep_gen_dense_.resize(static_cast<size_t>(id) + 1, 0);
-    }
-    sleep_gen_dense_[static_cast<size_t>(id)] = gen;
-    return;
+  if (static_cast<size_t>(id) >= sleep_gen_.size()) {
+    sleep_gen_.resize(static_cast<size_t>(id) + 1, 0);
   }
-  sleep_generation_[id] = gen;
+  sleep_gen_[static_cast<size_t>(id)] = gen;
 }
 
 void Machine::ClearSleepGen(ThreadId id) {
-  if (slabs_ != nullptr) {
-    if (static_cast<size_t>(id) < sleep_gen_dense_.size()) {
-      sleep_gen_dense_[static_cast<size_t>(id)] = 0;
-    }
-    return;
+  if (static_cast<size_t>(id) < sleep_gen_.size()) {
+    sleep_gen_[static_cast<size_t>(id)] = 0;
   }
-  sleep_generation_.erase(id);
 }
 
 void Machine::Attach(SimThread* thread) {
@@ -186,20 +153,14 @@ void Machine::Attach(TtyPort* tty) {
 }
 
 void Machine::Wake(ThreadId thread_id) {
-  if (slabs_ != nullptr) {
-    // Registry slots are never released, so slot == id: the state column answers
-    // the spurious-wake test without dragging the cold thread record into cache.
-    // (Buffers wake every waiter on each operation, so most wakes are spurious.)
-    const auto slot = static_cast<int32_t>(thread_id);
-    if (slot < 0 || slot >= slabs_->slot_count() ||
-        slabs_->state(slot) != ThreadState::kBlocked) {
-      return;  // Spurious or stale wake.
-    }
-  }
-  SimThread* thread = registry_.Find(thread_id);
-  if (thread == nullptr || thread->state() != ThreadState::kBlocked) {
+  // Slot == id: the state column answers the spurious-wake test without dragging the
+  // cold thread record into cache. (Buffers wake every waiter on each operation, so
+  // most wakes are spurious.)
+  const auto slot = static_cast<int32_t>(thread_id);
+  if (slot < 0 || slot >= slabs_.slot_count() || slabs_.state(slot) != ThreadState::kBlocked) {
     return;  // Spurious or stale wake.
   }
+  SimThread* thread = slabs_.thread_at(slot);
   ResumeTicking();  // Before the transition: catch-up must see the idle-span state.
   thread->set_state(ThreadState::kRunnable);
   thread->set_last_wake_time(sim_.Now());
@@ -363,19 +324,14 @@ void Machine::WakeExpiredSleepers(TimePoint now) {
       continue;  // Stale entry: thread was re-slept or woken through another path.
     }
     ClearSleepGen(entry.thread);
-    if (slabs_ != nullptr) {
-      // Slot == id (registry slots are never released): answer the not-sleeping
-      // test from the state column before touching the thread record.
-      const auto slot = static_cast<int32_t>(entry.thread);
-      if (slot < 0 || slot >= slabs_->slot_count() ||
-          slabs_->state(slot) != ThreadState::kSleeping) {
-        continue;
-      }
-    }
-    SimThread* thread = registry_.Find(entry.thread);
-    if (thread == nullptr || thread->state() != ThreadState::kSleeping) {
+    // Slot == id: answer the not-sleeping test from the state column before
+    // touching the thread record.
+    const auto slot = static_cast<int32_t>(entry.thread);
+    if (slot < 0 || slot >= slabs_.slot_count() ||
+        slabs_.state(slot) != ThreadState::kSleeping) {
       continue;
     }
+    SimThread* thread = slabs_.thread_at(slot);
     any_expired = true;
     if (config_.charge_overheads) {
       StealCycles(CpuUse::kTimer, cpu.config().timer_expired_cycles);
@@ -441,16 +397,8 @@ bool Machine::ShouldSuspend() const {
   // A runnable thread — including a reserved one waiting out an exhausted budget,
   // whose replenishment at a period boundary must be observed on time — means
   // upcoming ticks are not no-ops. The slabs maintain the runnable census
-  // incrementally, collapsing the per-round registry sweep to one comparison.
-  if (UseColumns()) {
-    return slabs_->runnable_count() == 0;
-  }
-  for (const SimThread* t : registry_.All()) {
-    if (!t->HasExited() && t->state() == ThreadState::kRunnable) {
-      return false;
-    }
-  }
-  return true;
+  // incrementally, so this is one comparison rather than a registry sweep.
+  return slabs_.runnable_count() == 0;
 }
 
 void Machine::Suspend() {
@@ -737,38 +685,20 @@ void Machine::Rebalance() {
     // cpu/state/policy/ppt columns; only the chosen victim's record is touched.
     SimThread* victim = nullptr;
     double victim_fraction = 0.0;
-    if (UseColumns()) {
-      const int32_t slots = slabs_->slot_count();
-      for (int32_t s = 0; s < slots; ++s) {
-        const ThreadState state = slabs_->state(s);
-        if (slabs_->cpu(s) != hi || state == ThreadState::kExited ||
-            state == ThreadState::kRunning ||
-            slabs_->policy(s) != SchedPolicy::kReservation) {
-          continue;
-        }
-        const double f = Proportion::Ppt(slabs_->granted_ppt(s)).ToFraction();
-        if (f <= 0.0) {
-          continue;
-        }
-        if (victim == nullptr || f < victim_fraction - 1e-12) {
-          victim = slabs_->thread_at(s);
-          victim_fraction = f;
-        }
+    const int32_t slots = slabs_.slot_count();
+    for (int32_t s = 0; s < slots; ++s) {
+      const ThreadState state = slabs_.state(s);
+      if (slabs_.cpu(s) != hi || state == ThreadState::kExited ||
+          state == ThreadState::kRunning || slabs_.policy(s) != SchedPolicy::kReservation) {
+        continue;
       }
-    } else {
-      for (SimThread* t : registry_.All()) {
-        if (t->cpu() != hi || t->HasExited() || t->policy() != SchedPolicy::kReservation ||
-            t->state() == ThreadState::kRunning) {
-          continue;
-        }
-        const double f = t->proportion().ToFraction();
-        if (f <= 0.0) {
-          continue;
-        }
-        if (victim == nullptr || f < victim_fraction - 1e-12) {
-          victim = t;
-          victim_fraction = f;
-        }
+      const double f = Proportion::Ppt(slabs_.granted_ppt(s)).ToFraction();
+      if (f <= 0.0) {
+        continue;
+      }
+      if (victim == nullptr || f < victim_fraction - 1e-12) {
+        victim = slabs_.thread_at(s);
+        victim_fraction = f;
       }
     }
     // Accept the move only if it strictly narrows the spread AND leaves the

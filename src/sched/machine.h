@@ -48,7 +48,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "queue/bounded_buffer.h"
@@ -228,18 +227,8 @@ class Machine {
     }
   };
 
-  // True when the registry's hot-field slabs cover every registry thread, so the
-  // machine-wide sweeps (census, rebalancer victim scan, idle-suspension check) can
-  // read slab columns in slot order — which is registry creation order, preserving
-  // even floating-point summation order — instead of chasing SimThread*.
-  bool UseColumns() const {
-    return slabs_ != nullptr && slabs_->live_count() == static_cast<int64_t>(registry_.size());
-  }
-
   // Sleep-generation bookkeeping: which incarnation of "this thread is asleep" the
-  // heap entries refer to (0 = not asleep). Slab-backed registries use a dense
-  // ThreadId-indexed vector (the timer path is hot at farm scale); legacy registries
-  // keep the unordered_map.
+  // heap entries refer to (0 = not asleep), in a dense ThreadId-indexed vector.
   uint64_t SleepGenOf(ThreadId id) const;
   void SetSleepGen(ThreadId id, uint64_t gen);
   void ClearSleepGen(ThreadId id);
@@ -304,7 +293,12 @@ class Machine {
   std::vector<Core> cores_;
   Cycles cycles_per_tick_ = 0;
 
-  const ThreadSlabs* slabs_ = nullptr;  // The registry's slabs (null when disabled).
+  // The registry's hot-field slabs. The machine-wide sweeps (census, rebalancer
+  // victim scan, idle-suspension check) and the wake/timer spurious-wake tests read
+  // these columns instead of chasing SimThread*. Slot == id, and slot order is
+  // registry creation order, which keeps even floating-point sums in the order a
+  // sweep over the registry's threads would add them.
+  const ThreadSlabs& slabs_;
 
   // Sleeper bookkeeping is a two-level structure. Short sleeps — the overwhelmingly
   // common case: one reservation period, a few dispatch ticks — go into a timing
@@ -321,8 +315,7 @@ class Machine {
   int64_t sleep_wheel_count_ = 0;         // Entries currently in the wheel.
   std::vector<SleepEntry> wake_batch_;    // WakeExpiredSleepers's reused scratch.
   std::priority_queue<SleepEntry, std::vector<SleepEntry>, std::greater<SleepEntry>> sleepers_;
-  std::unordered_map<ThreadId, uint64_t> sleep_generation_;  // Legacy (no-slab) path.
-  std::vector<uint64_t> sleep_gen_dense_;                    // Slab-backed path.
+  std::vector<uint64_t> sleep_gen_;  // Indexed by ThreadId; see SleepGenOf.
   uint64_t next_generation_ = 1;
 
   // Fast-forward state: the last tick grid point whose effects (real or replayed)

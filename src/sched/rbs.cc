@@ -20,12 +20,8 @@ int64_t RmRank(const SimThread* thread) { return PeriodRank(thread->period()); }
 }  // namespace
 
 RbsScheduler::RbsScheduler(const Cpu& cpu, const RbsConfig& config) : cpu_(cpu), config_(config) {
-  // Normalize the mode: the legacy use_indexed_pick = false wins (the pre-index
-  // reference build), and shadow mode must exercise the index it validates, so kAuto
-  // hardens to kIndexed under shadow_check.
-  if (!config_.use_indexed_pick) {
-    config_.pick_mode = PickMode::kReference;
-  } else if (config_.pick_mode == PickMode::kAuto && config_.shadow_check) {
+  // Shadow mode must exercise the index it validates.
+  if (config_.shadow_check) {
     config_.pick_mode = PickMode::kIndexed;
   }
   indexing_on_ = config_.pick_mode == PickMode::kIndexed;
@@ -49,7 +45,7 @@ RbsScheduler::Node* RbsScheduler::FindNode(SimThread* thread) {
 
 void RbsScheduler::Reindex(SimThread* thread) {
   if (!indexing_on_) {
-    return;  // Reference mode: no index to maintain (the A/B stays a fair fight).
+    return;  // kAuto below its threshold: no index to maintain.
   }
   Node* node = FindNode(thread);
   if (node == nullptr) {
@@ -83,23 +79,13 @@ void RbsScheduler::Reindex(SimThread* thread) {
       return;  // Membership and key unchanged: the common OnRan case, O(1).
     }
     node->in_pick_index = false;  // The heap entry is now stale (generation mismatch).
-    if (node->pick_slot != ThreadSlabs::kNoSlot) {
-      pick_gen_by_slot_[static_cast<size_t>(node->pick_slot)] = 0;
-    }
+    pick_gen_by_slot_[static_cast<size_t>(thread->slab_slot())] = 0;
     --pick_live_;
   }
   if (eligible) {
     node->pick_gen = next_gen_++;
-    const int32_t slot = slabs_ != nullptr && thread->bound_slabs() == slabs_
-                             ? thread->slab_slot()
-                             : ThreadSlabs::kNoSlot;
-    node->pick_slot = slot;
-    if (slot != ThreadSlabs::kNoSlot) {
-      if (static_cast<size_t>(slot) >= pick_gen_by_slot_.size()) {
-        pick_gen_by_slot_.resize(static_cast<size_t>(slot) + 1, 0);
-      }
-      pick_gen_by_slot_[static_cast<size_t>(slot)] = node->pick_gen;
-    }
+    const int32_t slot = thread->slab_slot();
+    pick_gen_by_slot_[static_cast<size_t>(slot)] = node->pick_gen;
     pick_index_.push_back(PickKey{primary, node->seq, node->pick_gen, slot, thread});
     std::push_heap(pick_index_.begin(), pick_index_.end(), std::greater<PickKey>{});
     node->pick_primary = primary;
@@ -118,26 +104,13 @@ void RbsScheduler::CompactPickIndex() {
   RR_CHECK(pick_index_.size() == static_cast<size_t>(pick_live_));
 }
 
-void RbsScheduler::RearmReplenish(SimThread* thread, Node& node) {
-  node.replenish_gen = next_gen_++;  // Any older due-heap entry is now stale.
-  // With full slab coverage OnTick replenishes off the deadline column instead of
-  // the due-heap (see OnTick), so feeding the heap would only grow garbage.
-  if (indexing_on_ && !UseColumns() && HasReservation(thread)) {
-    due_.push(DueEntry{thread->period_start() + thread->period(), node.seq,
-                       node.replenish_gen, thread});
-  }
-}
-
 void RbsScheduler::ActivateIndexing() {
-  // Rebuild the pick index, occupancy counts, and due-heap from the thread vector.
-  // Reads only; no thread state changes, so the schedule is unaffected. The counts
-  // are zero here: they are only maintained while indexing is on, and Deactivate
-  // (or construction) zeroed them.
+  // Rebuild the pick index and occupancy counts from the thread vector. Reads only;
+  // no thread state changes, so the schedule is unaffected. The counts are zero
+  // here: they are only maintained while indexing is on, and Deactivate (or
+  // construction) zeroed them.
   indexing_on_ = true;
   for (SimThread* t : threads_) {
-    Node* node = FindNode(t);
-    RR_CHECK(node != nullptr);
-    RearmReplenish(t, *node);
     Reindex(t);
   }
 }
@@ -147,7 +120,6 @@ void RbsScheduler::DeactivateIndexing() {
   pick_index_.clear();
   pick_live_ = 0;
   std::fill(pick_gen_by_slot_.begin(), pick_gen_by_slot_.end(), 0);
-  due_ = {};  // Entries would die by generation anyway; drop them wholesale.
   runnable_unreserved_ = 0;
   runnable_reserved_ = 0;
   for (auto& [thread, node] : nodes_) {
@@ -171,32 +143,20 @@ void RbsScheduler::MaybeSwitchIndexing() {
 void RbsScheduler::AddThread(SimThread* thread) {
   RR_EXPECTS(thread != nullptr);
   RR_EXPECTS(std::find(threads_.begin(), threads_.end(), thread) == threads_.end());
-  const bool had_columns = UseColumns();
-  threads_.push_back(thread);
-  const int32_t slot = thread->slab_slot();
-  if (slot != ThreadSlabs::kNoSlot &&
-      (slabs_ == nullptr || slabs_ == thread->bound_slabs())) {
+  if (slabs_ == nullptr) {
     slabs_ = thread->bound_slabs();
-    slots_.push_back(slot);
-  } else {
-    slots_.push_back(ThreadSlabs::kNoSlot);  // Unbound (or foreign slab): no columns.
-    ++unbound_;
   }
-  if (indexing_on_ && had_columns && !UseColumns()) {
-    // This thread just broke column coverage: OnTick falls back to the due-heap,
-    // which sat empty while the column sweep replenished. Re-arm every enqueued
-    // thread so the heap has a current entry per reservation again.
-    for (SimThread* t : threads_) {
-      if (Node* n = FindNode(t)) {
-        RearmReplenish(t, *n);
-      }
-    }
+  RR_EXPECTS(slabs_ != nullptr && thread->bound_slabs() == slabs_);
+  const int32_t slot = thread->slab_slot();
+  threads_.push_back(thread);
+  slots_.push_back(slot);
+  if (static_cast<size_t>(slot) >= pick_gen_by_slot_.size()) {
+    pick_gen_by_slot_.resize(static_cast<size_t>(slot) + 1, 0);
   }
   Node& node = nodes_[thread];  // Node-based container: the address is stable.
   node.owner = this;
   node.seq = next_seq_++;
   thread->set_sched_slot(&node);
-  RearmReplenish(thread, node);
   Reindex(thread);
   MaybeSwitchIndexing();
 }
@@ -204,29 +164,23 @@ void RbsScheduler::AddThread(SimThread* thread) {
 void RbsScheduler::RemoveThread(SimThread* thread) {
   const auto it = std::find(threads_.begin(), threads_.end(), thread);
   if (it != threads_.end()) {
-    const size_t idx = static_cast<size_t>(it - threads_.begin());
-    if (slots_[idx] == ThreadSlabs::kNoSlot) {
-      --unbound_;
-    }
+    slots_.erase(slots_.begin() + (it - threads_.begin()));
     threads_.erase(it);
-    slots_.erase(slots_.begin() + static_cast<ptrdiff_t>(idx));
   }
   Node* node = FindNode(thread);
   if (node == nullptr) {
     return;
   }
   if (node->in_pick_index) {
-    node->in_pick_index = false;  // Heap entry dies lazily (and by FindNode below).
-    if (node->pick_slot != ThreadSlabs::kNoSlot) {
-      pick_gen_by_slot_[static_cast<size_t>(node->pick_slot)] = 0;
-    }
+    node->in_pick_index = false;  // The heap entry dies lazily, by generation.
+    pick_gen_by_slot_[static_cast<size_t>(thread->slab_slot())] = 0;
     --pick_live_;
   }
   if (node->counted_runnable) {
     --(node->counted_reserved ? runnable_reserved_ : runnable_unreserved_);
   }
   thread->set_sched_slot(nullptr);
-  nodes_.erase(thread);  // Orphaned due-heap entries die by generation mismatch.
+  nodes_.erase(thread);
   MaybeSwitchIndexing();
 }
 
@@ -262,72 +216,22 @@ void RbsScheduler::Replenish(SimThread* thread, TimePoint now) {
   thread->set_budget_remaining(budget);
   thread->set_period_entitlement(budget);
   thread->ResetPeriodCycles();
-  if (Node* node = FindNode(thread)) {
-    RearmReplenish(thread, *node);
-  }
   Reindex(thread);
 }
 
 void RbsScheduler::OnTick(TimePoint now) {
-  if (!indexing_on_) {
-    // Reference mode: the original per-tick O(n) replenish scan. With slab columns
-    // the scan pre-filters on the deadline column — Replenish's own early-out
-    // condition (now < period_start + period, i.e. now_ns < deadline_nanos) — so the
-    // common not-due tick streams three small columns and touches no thread object.
-    if (UseColumns()) {
-      const int64_t now_ns = now.nanos();
-      const size_t n = slots_.size();
-      for (size_t i = 0; i < n; ++i) {
-        const int32_t s = slots_[i];
-        if (slabs_->policy(s) == SchedPolicy::kReservation && slabs_->granted_ppt(s) != 0 &&
-            slabs_->deadline_nanos(s) <= now_ns) {
-          Replenish(threads_[i], now);
-        }
-      }
-      return;
+  // The per-tick replenish sweep, pre-filtered on the deadline column — Replenish's
+  // own early-out condition (now < period_start + period, i.e. now_ns <
+  // deadline_nanos) — so the common not-due tick streams three small columns and
+  // touches no thread object. `threads_` is admission order, the order the
+  // deadline-miss callbacks observe.
+  const int64_t now_ns = now.nanos();
+  const size_t n = slots_.size();
+  for (size_t i = 0; i < n; ++i) {
+    const int32_t s = slots_[i];
+    if (ReservedAt(s) && slabs_->deadline_nanos(s) <= now_ns) {
+      Replenish(threads_[i], now);
     }
-    for (SimThread* t : threads_) {
-      if (HasReservation(t)) {
-        Replenish(t, now);
-      }
-    }
-    return;
-  }
-  if (UseColumns()) {
-    // Indexed mode with full slab coverage: the deadline-column sweep replaces the
-    // due-heap — one streaming pass over three small columns per tick instead of
-    // two O(log n) heap sifts per thread-period. `threads_` order is admission
-    // (seq) order — RemoveThread erases and AddThread appends with a fresh seq —
-    // so the replenish order matches the due-heap path's seq sort exactly.
-    const int64_t now_ns = now.nanos();
-    const size_t n = slots_.size();
-    for (size_t i = 0; i < n; ++i) {
-      const int32_t s = slots_[i];
-      if (slabs_->policy(s) == SchedPolicy::kReservation && slabs_->granted_ppt(s) != 0 &&
-          slabs_->deadline_nanos(s) <= now_ns) {
-        Replenish(threads_[i], now);
-      }
-    }
-    return;
-  }
-  // Pop every due (and still-current) replenishment, then apply them in admission
-  // order — the order the original per-tick scan over `threads_` replenished in, which
-  // the deadline-miss callbacks can observe. `due_now_` is a reused member buffer so
-  // the common tick allocates nothing.
-  due_now_.clear();
-  while (!due_.empty() && due_.top().due <= now) {
-    const DueEntry entry = due_.top();
-    due_.pop();
-    const Node* node = FindNode(entry.thread);
-    if (node == nullptr || node->replenish_gen != entry.gen) {
-      continue;  // Stale: reservation changed or thread left since this was armed.
-    }
-    due_now_.push_back(entry);
-  }
-  std::sort(due_now_.begin(), due_now_.end(),
-            [](const DueEntry& a, const DueEntry& b) { return a.seq < b.seq; });
-  for (const DueEntry& entry : due_now_) {
-    Replenish(entry.thread, now);
   }
 }
 
@@ -357,78 +261,34 @@ int64_t RbsScheduler::Goodness(const SimThread* thread) const {
   return 1;
 }
 
-SimThread* RbsScheduler::PickReservedReference(TimePoint /*now*/) {
-  // The original O(n) scan. Reserved threads first. Rate-monotonic: highest goodness
-  // (shortest period). EDF: earliest deadline, where a thread's deadline is the end of
-  // its current period. Ties broken by scan position — arrival order — matching the
-  // pick index's sequence-number tiebreak.
-  //
-  // Column variant: same scan, same order, same strict comparisons, reading the slab
-  // columns (state, policy, ppt, budget, rank/deadline) instead of five scattered
-  // SimThread cachelines per candidate.
-  if (UseColumns()) {
-    SimThread* best = nullptr;
-    const size_t n = slots_.size();
-    if (config_.order == DispatchOrder::kEarliestDeadlineFirst) {
-      int64_t best_deadline = TimePoint::Max().nanos();
-      for (size_t i = 0; i < n; ++i) {
-        const int32_t s = slots_[i];
-        if (slabs_->state(s) != ThreadState::kRunnable ||
-            slabs_->policy(s) != SchedPolicy::kReservation || slabs_->granted_ppt(s) == 0 ||
-            slabs_->budget(s) <= 0) {
-          continue;
-        }
-        const int64_t deadline = slabs_->deadline_nanos(s);
-        if (deadline < best_deadline) {
-          best = threads_[i];
-          best_deadline = deadline;
-        }
-      }
-      return best;
-    }
-    int64_t best_rank = -1;  // Any reserved candidate (rank >= 0) beats "none".
+SimThread* RbsScheduler::PickReservedReference() const {
+  // The original O(n) scan, over the slab columns. Reserved threads first.
+  // Rate-monotonic: highest rank (shortest period). EDF: earliest deadline, where a
+  // thread's deadline is the end of its current period. Strict comparisons break
+  // ties by scan position — arrival order — matching the pick index's
+  // sequence-number tiebreak.
+  SimThread* best = nullptr;
+  const size_t n = slots_.size();
+  if (config_.order == DispatchOrder::kEarliestDeadlineFirst) {
+    int64_t best_deadline = TimePoint::Max().nanos();
     for (size_t i = 0; i < n; ++i) {
       const int32_t s = slots_[i];
-      if (slabs_->state(s) != ThreadState::kRunnable ||
-          slabs_->policy(s) != SchedPolicy::kReservation || slabs_->granted_ppt(s) == 0 ||
-          slabs_->budget(s) <= 0) {
-        continue;
-      }
-      const int64_t rank = slabs_->rm_rank(s);
-      if (rank > best_rank) {
+      if (EligibleAt(s) && slabs_->deadline_nanos(s) < best_deadline) {
         best = threads_[i];
-        best_rank = rank;
+        best_deadline = slabs_->deadline_nanos(s);
       }
     }
     return best;
   }
-  SimThread* best = nullptr;
-  if (config_.order == DispatchOrder::kEarliestDeadlineFirst) {
-    TimePoint best_deadline = TimePoint::Max();
-    for (SimThread* t : threads_) {
-      if (!t->IsRunnable() || !HasReservation(t) || t->budget_remaining() <= 0) {
-        continue;
-      }
-      const TimePoint deadline = t->period_start() + t->period();
-      if (deadline < best_deadline) {
-        best = t;
-        best_deadline = deadline;
-      }
-    }
-    return best;
-  }
-  int64_t best_goodness = 0;
-  for (SimThread* t : threads_) {
-    if (!t->IsRunnable()) {
-      continue;
-    }
-    const int64_t g = Goodness(t);
-    if (g > best_goodness) {
-      best = t;
-      best_goodness = g;
+  int64_t best_rank = -1;  // Any reserved candidate (rank >= 0) beats "none".
+  for (size_t i = 0; i < n; ++i) {
+    const int32_t s = slots_[i];
+    if (EligibleAt(s) && slabs_->rm_rank(s) > best_rank) {
+      best = threads_[i];
+      best_rank = slabs_->rm_rank(s);
     }
   }
-  return best_goodness >= kRmBase ? best : nullptr;
+  return best;
 }
 
 SimThread* RbsScheduler::PickReservedIndexed() {
@@ -451,98 +311,28 @@ SimThread* RbsScheduler::PickReservedIndexed() {
   return nullptr;
 }
 
-bool RbsScheduler::PickEntryCurrent(const PickKey& key) {
-  if (key.slot != ThreadSlabs::kNoSlot) {
-    // One dense word per slot instead of a pointer chase through the thread record.
-    return pick_gen_by_slot_[static_cast<size_t>(key.slot)] == key.gen;
-  }
-  const Node* node = FindNode(key.thread);
-  return node != nullptr && node->in_pick_index && node->pick_gen == key.gen;
-}
-
 bool RbsScheduler::HasFallbackCandidate() const {
-  if (UseColumns()) {
-    for (const int32_t s : slots_) {
-      if (slabs_->state(s) != ThreadState::kRunnable) {
-        continue;
-      }
-      const bool reserved =
-          slabs_->policy(s) == SchedPolicy::kReservation && slabs_->granted_ppt(s) != 0;
-      const bool exhausted_reserved = reserved && slabs_->budget(s) <= 0;
-      if (exhausted_reserved && !config_.work_conserving) {
-        continue;
-      }
-      if (!exhausted_reserved && reserved) {
-        continue;
-      }
-      return true;
-    }
-    return false;
-  }
-  for (SimThread* t : threads_) {
-    if (!t->IsRunnable()) {
-      continue;
-    }
-    const bool exhausted_reserved = HasReservation(t) && t->budget_remaining() <= 0;
-    if (exhausted_reserved && !config_.work_conserving) {
-      continue;
-    }
-    if (!exhausted_reserved && HasReservation(t)) {
-      continue;
-    }
-    return true;
-  }
-  return false;
+  return std::any_of(slots_.begin(), slots_.end(),
+                     [this](int32_t s) { return FallbackCandidateAt(s); });
 }
 
 SimThread* RbsScheduler::PickFallbackRoundRobin() {
   // No reserved thread can run: round-robin over the remaining runnables (non-reserved
   // threads, plus exhausted reserved threads when work-conserving). Verbatim from the
   // original scan — the cursor is positional, so this path stays O(n) but is gated by
-  // the occupancy counts in PickNext and only runs when it will find work. slots_ is
-  // index-aligned with threads_, so the column variant's cursor arithmetic and scan
-  // order are identical to the pointer scan's.
+  // the occupancy counts in PickNext and only runs when it will find work.
   const size_t n = threads_.size();
-  if (UseColumns()) {
-    for (size_t i = 0; i < n; ++i) {
-      const size_t idx = (rr_cursor_ + i) % n;
-      const int32_t s = slots_[idx];
-      if (slabs_->state(s) != ThreadState::kRunnable) {
-        continue;
-      }
-      const bool reserved =
-          slabs_->policy(s) == SchedPolicy::kReservation && slabs_->granted_ppt(s) != 0;
-      const bool exhausted_reserved = reserved && slabs_->budget(s) <= 0;
-      if (exhausted_reserved && !config_.work_conserving) {
-        continue;
-      }
-      if (!exhausted_reserved && reserved) {
-        continue;  // Has budget; already considered above.
-      }
+  for (size_t i = 0; i < n; ++i) {
+    const size_t idx = (rr_cursor_ + i) % n;
+    if (FallbackCandidateAt(slots_[idx])) {
       rr_cursor_ = (idx + 1) % n;
       return threads_[idx];
     }
-    return nullptr;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    SimThread* t = threads_[(rr_cursor_ + i) % n];
-    if (!t->IsRunnable()) {
-      continue;
-    }
-    const bool exhausted_reserved = HasReservation(t) && t->budget_remaining() <= 0;
-    if (exhausted_reserved && !config_.work_conserving) {
-      continue;
-    }
-    if (!exhausted_reserved && HasReservation(t)) {
-      continue;  // Has budget; already considered above.
-    }
-    rr_cursor_ = (rr_cursor_ + i + 1) % n;
-    return t;
   }
   return nullptr;
 }
 
-SimThread* RbsScheduler::PickNext(TimePoint now) {
+SimThread* RbsScheduler::PickNext(TimePoint /*now*/) {
   SimThread* pick = nullptr;
   if (indexing_on_) {
     pick = PickReservedIndexed();
@@ -550,15 +340,12 @@ SimThread* RbsScheduler::PickNext(TimePoint now) {
       // Shadow-scheduler mode: the reference scan runs alongside (side-effect-free)
       // and must agree with the index at every dispatch; the pick's slab columns
       // must agree with its object fields.
-      SimThread* reference = PickReservedReference(now);
-      RR_CHECK(pick == reference);
-      if (pick != nullptr && slabs_ != nullptr && pick->bound_slabs() == slabs_) {
-        RR_CHECK(slabs_->MatchesObject(*pick));
-      }
+      RR_CHECK(pick == PickReservedReference());
+      RR_CHECK(pick == nullptr || slabs_->MatchesObject(*pick));
       ++shadow_checks_;
     }
   } else {
-    pick = PickReservedReference(now);
+    pick = PickReservedReference();
   }
   if (pick != nullptr) {
     return pick;
@@ -580,8 +367,8 @@ SimThread* RbsScheduler::PickNext(TimePoint now) {
   return PickFallbackRoundRobin();
 }
 
-SimThread* RbsScheduler::PickNextReference(TimePoint now) {
-  SimThread* pick = PickReservedReference(now);
+SimThread* RbsScheduler::PickNextReference(TimePoint /*now*/) {
+  SimThread* pick = PickReservedReference();
   if (pick != nullptr) {
     return pick;
   }
@@ -622,7 +409,6 @@ void RbsScheduler::SetReservation(SimThread* thread, Proportion proportion, Dura
   // FeedbackAllocator::SchedulerFor does). A thread enqueued nowhere may be actuated
   // by any instance (reservation state lives on the thread).
   RR_EXPECTS(thread->sched_slot() == nullptr || FindNode(thread) != nullptr);
-  const bool was_reserved = HasReservation(thread);
   const bool fresh =
       thread->policy() != SchedPolicy::kReservation || thread->period() != period;
   thread->set_policy(SchedPolicy::kReservation);
@@ -642,16 +428,7 @@ void RbsScheduler::SetReservation(SimThread* thread, Proportion proportion, Dura
     thread->set_budget_remaining(
         std::max<Cycles>(0, PeriodBudget(thread) - thread->cycles_this_period()));
   }
-  if (Node* node = FindNode(thread)) {
-    // The due time (period_start + period) only moves on the fresh path; rearming on
-    // proportion-only actuations would churn the due-heap once per controller run per
-    // thread for nothing. A reservation appearing or vanishing (proportion zero <->
-    // nonzero) changes whether a due entry should exist at all, so it rearms too.
-    if (fresh || was_reserved != HasReservation(thread)) {
-      RearmReplenish(thread, *node);
-    }
-    Reindex(thread);
-  }
+  Reindex(thread);
 }
 
 void RbsScheduler::ApplyReservations(const std::vector<ReservationUpdate>& batch,
@@ -662,22 +439,13 @@ void RbsScheduler::ApplyReservations(const std::vector<ReservationUpdate>& batch
 }
 
 Proportion RbsScheduler::TotalReserved() const {
-  if (UseColumns()) {
-    int32_t total_ppt = 0;
-    for (const int32_t s : slots_) {
-      if (slabs_->policy(s) == SchedPolicy::kReservation) {
-        total_ppt += slabs_->granted_ppt(s);
-      }
-    }
-    return Proportion::Ppt(total_ppt);
-  }
-  Proportion total = Proportion::Zero();
-  for (const SimThread* t : threads_) {
-    if (t->policy() == SchedPolicy::kReservation) {
-      total += t->proportion();
+  int32_t total_ppt = 0;
+  for (const int32_t s : slots_) {
+    if (slabs_->policy(s) == SchedPolicy::kReservation) {
+      total_ppt += slabs_->granted_ppt(s);
     }
   }
-  return total;
+  return Proportion::Ppt(total_ppt);
 }
 
 }  // namespace realrate

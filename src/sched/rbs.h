@@ -6,8 +6,11 @@
 // goodness than jobs under other policies, and that jobs with shorter periods have
 // higher goodness values."
 //
-// Dispatch hot path (see docs/ARCHITECTURE.md, "The dispatch hot path"): PickNext is
-// O(log n) against indexed run queues rather than the original O(n) goodness scan.
+// Dispatch hot path (see docs/ARCHITECTURE.md, "The dispatch hot path"): every
+// enqueued thread is bound to its registry's hot-field slabs (task/thread_slabs.h),
+// and the scheduler keeps each thread's slot index-aligned with its thread vector, so
+// every sweep below reads slab columns in admission order instead of chasing
+// SimThread*.
 //   - Reserved threads with remaining budget live in a pick index keyed by
 //     incrementally maintained period rank (rate-monotonic mode) or period deadline
 //     (EDF mode), with the thread's admission sequence number as the tiebreaker —
@@ -16,36 +19,29 @@
 //     min-heap with lazy deletion (generation-stamped entries), so the block/wake
 //     storm of a dense farm costs O(1) per eligibility exit and an allocation-free
 //     O(log n) push per entry, with no tree nodes to chase.
-//   - Period replenishment is driven by a due-heap keyed by period end, so OnTick
-//     touches only the threads whose period actually closed instead of all n.
+//   - Period replenishment is one deadline-column sweep per tick: a streaming pass
+//     over three small columns that touches only the threads whose period closed.
 //   - Best-effort (and, in work-conserving mode, budget-exhausted) threads are
 //     summarized by a secondary occupancy index — runnable counts that let PickNext
 //     skip the round-robin fallback scan entirely in the common all-blocked case; the
 //     scan itself is kept verbatim because its cursor semantics are positional.
-// The original scan survives as PickNextReference(); RbsConfig::shadow_check makes
-// every PickNext assert indexed pick == reference pick (the shadow-scheduler mode the
-// fuzz harness runs), and RbsConfig::use_indexed_pick = false falls back to the
-// reference scan wholesale (the bench_dispatch_scale comparison build).
+// The original O(n) scan survives as PickNextReference(); RbsConfig::shadow_check
+// makes every PickNext assert indexed pick == reference pick (the shadow-scheduler
+// mode the fuzz harness runs).
 //
 // Pick modes (RbsConfig::pick_mode): the index wins big at high occupancy but its
-// maintenance (Reindex on every state/budget mutation, due-heap churn) is pure
-// overhead at a handful of threads per core, where the O(n) scan fits in a few
-// cachelines. kAuto therefore runs maintenance-off below auto_index_threshold
-// enqueued threads and switches the index on (rebuilding it from the thread vector,
-// O(n log n) once) when the run queue grows past it, with 2x hysteresis on the way
-// down. Both modes produce bit-identical schedules, so switching is trace-invariant.
-//
-// When every enqueued thread is bound to hot-field slabs (task/thread_slabs.h), the
-// reference scan, the fallback gate, the per-tick replenish sweep, and TotalReserved
-// read the slab columns instead of chasing SimThread* — same order, same ties, same
-// result, a fraction of the cachelines.
+// maintenance (Reindex on every state/budget mutation) is pure overhead at a handful
+// of threads per core, where the O(n) column scan fits in a few cachelines. kAuto
+// therefore runs maintenance-off below auto_index_threshold enqueued threads and
+// switches the index on (rebuilding it from the thread vector, O(n log n) once) when
+// the run queue grows past it, with 2x hysteresis on the way down. Both modes produce
+// bit-identical schedules, so switching is trace-invariant.
 #ifndef REALRATE_SCHED_RBS_H_
 #define REALRATE_SCHED_RBS_H_
 
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -67,9 +63,8 @@ enum class DispatchOrder : uint8_t {
 
 // How PickNext finds the best reserved thread (see the header comment).
 enum class PickMode : uint8_t {
-  kAuto,       // Reference scan below auto_index_threshold, indexed above.
-  kIndexed,    // Always maintain and use the indexed run queues.
-  kReference,  // Always the O(n) scan; no index maintenance at all.
+  kAuto,     // Reference scan below auto_index_threshold, indexed above.
+  kIndexed,  // Always maintain and use the indexed run queues.
 };
 
 struct RbsConfig {
@@ -78,14 +73,8 @@ struct RbsConfig {
   // threads sleep until their next period. Default matches the paper.
   bool work_conserving = false;
   DispatchOrder order = DispatchOrder::kRateMonotonic;
-  // Legacy switch predating pick_mode: if false, the scheduler runs as the pre-index
-  // reference build (pick_mode = kReference) — PickNext uses the O(n) goodness scan,
-  // OnTick uses the O(n) per-tick replenish sweep, and no index maintenance happens
-  // at all; the comparison baseline bench_dispatch_scale measures against. Behavior
-  // (schedule, trace) is identical in every mode.
-  bool use_indexed_pick = true;
-  // Reference vs indexed selection (only consulted when use_indexed_pick is true).
-  // kAuto is the production default: per-core occupancy decides.
+  // Reference vs indexed selection. kAuto is the production default: per-core
+  // occupancy decides. Behavior (schedule, trace) is identical in every mode.
   PickMode pick_mode = PickMode::kAuto;
   // kAuto's switch-on point: enqueued-thread count at which this core's scheduler
   // starts maintaining the indexed run queues. Tuned on bench_dispatch_scale so the
@@ -96,7 +85,8 @@ struct RbsConfig {
   // Shadow-scheduler mode: every PickNext computes both the indexed pick and the
   // reference scan pick and asserts they are identical. Used by the fuzz harness
   // (RunOptions::rbs_shadow_check) to pin the indexed structures to the original
-  // semantics across generated workloads.
+  // semantics across generated workloads. Runs kAuto as kIndexed, so the index it
+  // validates is always live.
   bool shadow_check = false;
 };
 
@@ -115,6 +105,8 @@ class RbsScheduler : public Scheduler {
 
   const char* name() const override { return "rbs"; }
 
+  // `thread` must be bound to the same hot-field slabs as every other thread
+  // enqueued here (in practice: created by the one ThreadRegistry).
   void AddThread(SimThread* thread) override;
   void RemoveThread(SimThread* thread) override;
   void OnTick(TimePoint now) override;
@@ -126,10 +118,11 @@ class RbsScheduler : public Scheduler {
   void OnWake(SimThread* thread, TimePoint now) override;
   void OnBlock(SimThread* thread, TimePoint now) override;
 
-  // The original O(n) goodness/deadline scan, preserved verbatim as the reference
-  // implementation the indexed pick is validated against (shadow_check) and the
-  // baseline bench_dispatch_scale measures. Shares the round-robin cursor with
-  // PickNext, so within one run use either entry point per dispatch, not both.
+  // The original O(n) goodness/deadline scan (over the slab columns), the reference
+  // implementation the indexed pick is validated against (shadow_check), the path
+  // kAuto runs below its threshold, and the baseline bench_dispatch_scale measures.
+  // Shares the round-robin cursor with PickNext, so within one run use either entry
+  // point per dispatch, not both.
   SimThread* PickNextReference(TimePoint now);
 
   // Actuation entry point used by the controller: sets proportion/period and restarts
@@ -164,24 +157,21 @@ class RbsScheduler : public Scheduler {
   // Shadow-mode observability: picks that ran both implementations and agreed.
   int64_t shadow_checks() const { return shadow_checks_; }
   // Pick-mode observability: is the indexed hot path being maintained right now?
-  // Constant under kIndexed/kReference; under kAuto it tracks the occupancy
-  // threshold.
+  // Constant under kIndexed; under kAuto it tracks the occupancy threshold.
   bool indexing_active() const { return indexing_on_; }
 
  private:
   // Per-thread bookkeeping owned by this scheduler (not the thread): the admission
-  // sequence number that reproduces the reference scan's tie order, the pick-index
-  // membership/key snapshot, and the replenish-heap generation stamp.
+  // sequence number that reproduces the reference scan's tie order and the
+  // pick-index membership/key snapshot.
   struct Node {
     RbsScheduler* owner = nullptr;  // Guards the SimThread::sched_slot cache.
     uint64_t seq = 0;
     bool in_pick_index = false;
     int64_t pick_primary = 0;       // Key snapshot while in the pick index.
     uint64_t pick_gen = 0;          // Generation of the current pick-heap entry.
-    int32_t pick_slot = ThreadSlabs::kNoSlot;  // Slab slot of that entry, if bound.
     bool counted_runnable = false;  // Contributes to the occupancy counts below.
     bool counted_reserved = false;  // Which count it contributes to.
-    uint64_t replenish_gen = 0;     // Current generation; stale heap entries mismatch.
   };
 
   // Pick-index element. Ordering is (rank desc | deadline asc, seq asc): the heap
@@ -192,26 +182,12 @@ class RbsScheduler : public Scheduler {
   struct PickKey {
     int64_t primary = 0;  // -rm_rank, or the EDF deadline in nanos.
     uint64_t seq = 0;
-    uint64_t gen = 0;     // Current iff == the owning Node's pick_gen.
-    int32_t slot = ThreadSlabs::kNoSlot;  // Slab slot, for object-free stale checks.
+    uint64_t gen = 0;     // Current iff == pick_gen_by_slot_[slot].
+    int32_t slot = 0;     // The thread's slab slot.
     SimThread* thread = nullptr;
     bool operator>(const PickKey& other) const {
       if (primary != other.primary) {
         return primary > other.primary;
-      }
-      return seq > other.seq;
-    }
-  };
-
-  // Replenish due-heap entry: period end of one reservation incarnation.
-  struct DueEntry {
-    TimePoint due;
-    uint64_t seq = 0;
-    uint64_t gen = 0;
-    SimThread* thread = nullptr;
-    bool operator>(const DueEntry& other) const {
-      if (due != other.due) {
-        return due > other.due;
       }
       return seq > other.seq;
     }
@@ -225,21 +201,31 @@ class RbsScheduler : public Scheduler {
   // current state. Idempotent; every mutation hook funnels through it.
   void Reindex(SimThread* thread);
   Node* FindNode(SimThread* thread);
-  // Pushes a fresh due-heap entry for `thread`'s current period (bumping the
-  // generation so older entries die), or just invalidates when unreserved.
-  void RearmReplenish(SimThread* thread, Node& node);
+  // Column predicates of the reference scan for the thread in slab slot `s`: holds
+  // a nonzero reservation / may be dispatched by the reserved pick / may be
+  // dispatched by the round-robin fallback.
+  bool ReservedAt(int32_t s) const {
+    return slabs_->policy(s) == SchedPolicy::kReservation && slabs_->granted_ppt(s) != 0;
+  }
+  bool EligibleAt(int32_t s) const {
+    return slabs_->state(s) == ThreadState::kRunnable && ReservedAt(s) && slabs_->budget(s) > 0;
+  }
+  bool FallbackCandidateAt(int32_t s) const {
+    return slabs_->state(s) == ThreadState::kRunnable &&
+           (!ReservedAt(s) || (config_.work_conserving && slabs_->budget(s) <= 0));
+  }
   // The two halves of the reference scan, side-effect-free and cursor-mutating
   // respectively; PickNext composes the indexed (or reference) reserved pick with the
   // shared fallback.
-  SimThread* PickReservedReference(TimePoint now);
+  SimThread* PickReservedReference() const;
   SimThread* PickReservedIndexed();
   SimThread* PickFallbackRoundRobin();
   // Side-effect-free: would the round-robin fallback scan find a candidate? Used by
   // shadow mode to validate the occupancy counts that gate the scan.
   bool HasFallbackCandidate() const;
-  // kAuto transitions. Activation rebuilds the pick index, occupancy counts, and
-  // due-heap from the thread vector; deactivation tears them down. Neither changes
-  // any thread's state, so the schedule is unaffected.
+  // kAuto transitions. Activation rebuilds the pick index and occupancy counts from
+  // the thread vector; deactivation tears them down. Neither changes any thread's
+  // state, so the schedule is unaffected.
   void ActivateIndexing();
   void DeactivateIndexing();
   void MaybeSwitchIndexing();
@@ -248,20 +234,18 @@ class RbsScheduler : public Scheduler {
   // logical erase.
   void CompactPickIndex();
   // Is this heap entry the current one for its thread (vs lazily deleted)?
-  bool PickEntryCurrent(const PickKey& key);
-  // True when every enqueued thread is slab-bound, so the reference scan, the
-  // fallback gate, the replenish sweep, and TotalReserved can read columns.
-  bool UseColumns() const { return slabs_ != nullptr && unbound_ == 0; }
+  bool PickEntryCurrent(const PickKey& key) const {
+    return pick_gen_by_slot_[static_cast<size_t>(key.slot)] == key.gen;
+  }
 
   const Cpu& cpu_;
   RbsConfig config_;
   std::vector<SimThread*> threads_;
-  // threads_[i]'s slab slot (ThreadSlabs::kNoSlot when unbound), kept index-aligned
-  // with threads_ so column scans preserve scan order, ties, and the round-robin
-  // cursor arithmetic.
+  // threads_[i]'s slab slot, kept index-aligned with threads_ so column scans
+  // preserve scan order, ties, and the round-robin cursor arithmetic.
   std::vector<int32_t> slots_;
-  const ThreadSlabs* slabs_ = nullptr;  // The slab every bound thread belongs to.
-  size_t unbound_ = 0;                  // Enqueued threads without a slab slot.
+  // The slabs every enqueued thread is bound to; set by the first AddThread.
+  const ThreadSlabs* slabs_ = nullptr;
   DeadlineMissFn miss_fn_;
   size_t rr_cursor_ = 0;  // Round-robin position among non-reserved threads.
   bool indexing_on_ = false;  // Maintain/use the indexed structures right now?
@@ -277,10 +261,9 @@ class RbsScheduler : public Scheduler {
   int64_t pick_live_ = 0;
   // Current pick generation per slab slot (0 = not in the index): lets the heap's
   // stale-entry test read one dense word instead of chasing the (cold) thread
-  // record's sched_slot on every pick. Unbound threads fall back to FindNode.
+  // record's sched_slot on every pick. Sized by AddThread to cover every enqueued
+  // thread's slot.
   std::vector<uint64_t> pick_gen_by_slot_;
-  std::priority_queue<DueEntry, std::vector<DueEntry>, std::greater<DueEntry>> due_;
-  std::vector<DueEntry> due_now_;  // OnTick's reused due-batch buffer.
   // Secondary occupancy index for the round-robin fallback: how many runnable
   // threads are non-reserved, and how many are reserved at all. Runnable reserved
   // threads with exhausted budgets = counted_reserved_runnable - |pick_index_|,

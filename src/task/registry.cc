@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "util/assert.h"
-
 namespace realrate {
 
 SimThread* ThreadRegistry::Create(std::string name, std::unique_ptr<WorkModel> work) {
@@ -11,10 +9,7 @@ SimThread* ThreadRegistry::Create(std::string name, std::unique_ptr<WorkModel> w
   SimThread* thread = arena_.Create(id, std::move(name), std::move(work));
   raw_.push_back(thread);
   thread->work().Bind(thread);
-  if (use_slabs_) {
-    const int32_t slot = slabs_.Bind(thread);
-    RR_ENSURES(slot == id);  // Registry threads are never released: slot == id.
-  }
+  slabs_.Bind(thread);  // Appends, and nothing releases a slot: slot == id.
   return thread;
 }
 

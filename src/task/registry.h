@@ -8,17 +8,20 @@
 
 #include "task/thread.h"
 #include "task/thread_slabs.h"
+#include "util/assert.h"
 
 namespace realrate {
 
 // Thread records are allocated from a ThreadArena (contiguous chunks in creation
-// order, stable addresses) and — unless constructed with use_slabs = false — bound to
-// hot-field slabs at Create, so column sweeps cover exactly the registry's thread set
-// in creation order. `use_slabs = false` builds the pre-slab AoS configuration the
-// differential harness and bench_dispatch_scale compare against.
+// order, stable addresses) and bound to hot-field slabs at Create, so column sweeps
+// cover exactly the registry's thread set in creation order, with slot == id.
 class ThreadRegistry {
  public:
-  explicit ThreadRegistry(bool use_slabs = true) : use_slabs_(use_slabs) {}
+  ThreadRegistry() = default;
+  // Stays only for perfbench/rrbench.cc; `use_slabs` must be true.
+  explicit ThreadRegistry(bool use_slabs) {
+    RR_EXPECTS(use_slabs && "ThreadRegistry: use_slabs must be true (slabs are the only layout)");
+  }
 
   // Creates a thread owned by the registry; returns a stable non-owning pointer.
   SimThread* Create(std::string name, std::unique_ptr<WorkModel> work);
@@ -34,14 +37,12 @@ class ThreadRegistry {
   // materialized. The reference is invalidated by Create().
   const std::vector<SimThread*>& All() const { return raw_; }
 
-  // The hot-field slabs every registry thread is bound to, or nullptr when this
-  // registry was built without them. With the registry never releasing slots,
-  // slot == id and slot order == creation order.
-  ThreadSlabs* slabs() { return use_slabs_ ? &slabs_ : nullptr; }
-  const ThreadSlabs* slabs() const { return use_slabs_ ? &slabs_ : nullptr; }
+  // The hot-field slabs every registry thread is bound to (never null). Slots are
+  // never released, so slot == id and slot order == creation order.
+  ThreadSlabs* slabs() { return &slabs_; }
+  const ThreadSlabs* slabs() const { return &slabs_; }
 
  private:
-  const bool use_slabs_;
   ThreadArena arena_;
   std::vector<SimThread*> raw_;  // Indexed by ThreadId; maintained by Create().
   // Declared after arena_ so it is destroyed first: its destructor unbinds threads,

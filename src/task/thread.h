@@ -160,7 +160,7 @@ class SimThread {
   double burst_ewma_cycles() const { return burst_ewma_; }
 
  private:
-  friend class ThreadSlabs;  // Maintains slabs_/slab_slot_ on Bind/Release.
+  friend class ThreadSlabs;  // Maintains slabs_/slab_slot_ on Bind and unbind.
 
   const ThreadId id_;
   const std::string name_;

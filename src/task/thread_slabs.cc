@@ -7,10 +7,8 @@ namespace realrate {
 
 ThreadSlabs::~ThreadSlabs() {
   for (SimThread* t : thread_) {
-    if (t != nullptr) {
-      t->slabs_ = nullptr;
-      t->slab_slot_ = kNoSlot;
-    }
+    t->slabs_ = nullptr;
+    t->slab_slot_ = kNoSlot;
   }
 }
 
@@ -29,75 +27,29 @@ void ThreadSlabs::SeedColumns(int32_t slot, const SimThread& t) {
 int32_t ThreadSlabs::Bind(SimThread* thread) {
   RR_EXPECTS(thread != nullptr);
   RR_EXPECTS(thread->slabs_ == nullptr);  // One binding at a time.
-  int32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = slot_count();
-    thread_.push_back(nullptr);
-    state_.push_back(ThreadState::kExited);
-    class_.push_back(ThreadClass::kMiscellaneous);
-    policy_.push_back(SchedPolicy::kOther);
-    cpu_.push_back(0);
-    granted_ppt_.push_back(0);
-    rm_rank_.push_back(0);
-    deadline_nanos_.push_back(0);
-    budget_.push_back(0);
-    importance_.push_back(0.0);
-    pressure_.push_back(0.0);
-  }
-  const size_t i = static_cast<size_t>(slot);
-  thread_[i] = thread;
+  const int32_t slot = slot_count();
+  thread_.push_back(thread);
+  state_.emplace_back();
+  class_.emplace_back();
+  policy_.emplace_back();
+  cpu_.emplace_back();
+  granted_ppt_.emplace_back();
+  rm_rank_.emplace_back();
+  deadline_nanos_.emplace_back();
+  budget_.emplace_back();
+  importance_.emplace_back();
+  pressure_.emplace_back();
   SeedColumns(slot, *thread);
-  if (state_[i] == ThreadState::kRunnable) {
+  if (state_.back() == ThreadState::kRunnable) {
     ++runnable_count_;
   }
-  ++live_count_;
-
-  const ThreadId id = thread->id();
-  RR_EXPECTS(id >= 0);
-  if (static_cast<size_t>(id) >= slot_of_id_.size()) {
-    slot_of_id_.resize(static_cast<size_t>(id) + 1, kNoSlot);
-  }
-  RR_EXPECTS(slot_of_id_[static_cast<size_t>(id)] == kNoSlot);
-  slot_of_id_[static_cast<size_t>(id)] = slot;
-
   thread->slabs_ = this;
   thread->slab_slot_ = slot;
   return slot;
 }
 
-void ThreadSlabs::Release(SimThread* thread) {
-  RR_EXPECTS(thread != nullptr && thread->slabs_ == this);
-  const int32_t slot = thread->slab_slot_;
-  const size_t i = static_cast<size_t>(slot);
-  RR_EXPECTS(thread_[i] == thread);
-  if (state_[i] == ThreadState::kRunnable) {
-    --runnable_count_;
-  }
-  --live_count_;
-  // Inert values: sweeps (reserved filter, census, runnable checks) skip the hole
-  // with the same comparisons they apply to live slots.
-  thread_[i] = nullptr;
-  state_[i] = ThreadState::kExited;
-  class_[i] = ThreadClass::kMiscellaneous;
-  policy_[i] = SchedPolicy::kOther;
-  cpu_[i] = 0;
-  granted_ppt_[i] = 0;
-  rm_rank_[i] = 0;
-  deadline_nanos_[i] = 0;
-  budget_[i] = 0;
-  importance_[i] = 0.0;
-  pressure_[i] = 0.0;
-  slot_of_id_[static_cast<size_t>(thread->id())] = kNoSlot;
-  free_slots_.push_back(slot);
-  thread->slabs_ = nullptr;
-  thread->slab_slot_ = kNoSlot;
-}
-
 bool ThreadSlabs::MatchesObject(const SimThread& t) const {
-  if (t.slabs_ != this || t.slab_slot_ == kNoSlot) {
+  if (t.slabs_ != this) {
     return false;
   }
   const size_t i = static_cast<size_t>(t.slab_slot_);

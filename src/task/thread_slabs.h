@@ -20,15 +20,15 @@
 //     slab == object at every pick and controller tick.
 //   - `pressure` is the one controller-owned column: the control pipeline's
 //     Sample/Estimate stages write it (there is no SimThread field behind it).
-//   - Slots are stable for the lifetime of a binding: registration and removal are
-//     O(1) through a free list (released slots are recycled LIFO), and nothing —
-//     migration, reservation churn, other threads exiting — ever moves a bound
-//     thread's slot. The Machine moves *slots between cores* by rewriting the cpu
-//     column, not by moving records.
-//   - id → slot is the registry's dense ThreadId space: with the registry binding
-//     every thread at Create and never releasing, slot == id and slot order == the
-//     registry's creation order, which is what keeps column sweeps bit-identical
-//     (including floating-point sum order) to the SimThread* sweeps they replace.
+//   - Slots are append-only and stable: Bind appends one, nothing releases one, and
+//     nothing — migration, reservation churn, other threads exiting — ever moves a
+//     bound thread's slot. The Machine moves *slots between cores* by rewriting the
+//     cpu column, not by moving records. Exited threads keep their slot and read as
+//     kExited, so sweeps skip them by predicate.
+//   - id → slot is the registry's dense ThreadId space: the registry binds every
+//     thread at Create, in id order, so slot == id and slot order == creation order,
+//     which is what keeps column sweeps bit-identical (including floating-point sum
+//     order) to a sweep over the registry's threads in creation order.
 //
 // Thread-safety: none. Columns are read and written only from simulator events, on
 // the one host thread that drives the event loop.
@@ -61,33 +61,22 @@ class ThreadSlabs {
   ThreadSlabs() = default;
   ThreadSlabs(const ThreadSlabs&) = delete;
   ThreadSlabs& operator=(const ThreadSlabs&) = delete;
-  ~ThreadSlabs();  // Unbinds every still-bound thread.
+  ~ThreadSlabs();  // Unbinds every bound thread.
 
-  // Binds `thread` (not currently bound anywhere) to a slot and seeds its columns
-  // from the object. O(1): recycles the most recently freed slot, else appends one.
+  // Binds `thread` (not currently bound anywhere) to a new slot appended at the end
+  // and seeds its columns from the object. O(1) amortized.
   int32_t Bind(SimThread* thread);
-  // Releases `thread`'s slot back to the free list and clears its columns to inert
-  // values (kExited, zero proportion), so sweeps skip the hole without a branch on a
-  // separate liveness bit. Other threads' slots are untouched. O(1).
-  void Release(SimThread* thread);
 
-  // Slots ever allocated, including currently free ones. Column sweeps iterate
-  // [0, slot_count()) in slot order.
+  // Slots allocated so far. Column sweeps iterate [0, slot_count()) in slot order.
   int32_t slot_count() const { return static_cast<int32_t>(thread_.size()); }
-  int64_t live_count() const { return live_count_; }
   // Bound threads whose state column is kRunnable — the Machine's O(1)
   // idle-suspension check.
   int64_t runnable_count() const { return runnable_count_; }
 
-  // Back-pointers. thread_at is nullptr for a free slot.
+  // Back-pointer to the thread bound at `slot`.
   SimThread* thread_at(int32_t slot) const { return thread_[static_cast<size_t>(slot)]; }
-  int32_t slot_of(ThreadId id) const {
-    return id >= 0 && static_cast<size_t>(id) < slot_of_id_.size()
-               ? slot_of_id_[static_cast<size_t>(id)]
-               : kNoSlot;
-  }
 
-  // --- Column reads (free slots read as inert: kExited / zero / max deadline) ---
+  // --- Column reads ---
   ThreadState state(int32_t slot) const { return state_[static_cast<size_t>(slot)]; }
   SchedPolicy policy(int32_t slot) const { return policy_[static_cast<size_t>(slot)]; }
   ThreadClass cls(int32_t slot) const { return class_[static_cast<size_t>(slot)]; }
@@ -150,9 +139,6 @@ class ThreadSlabs {
   std::vector<double> importance_;
   std::vector<double> pressure_;
 
-  std::vector<int32_t> slot_of_id_;  // Dense ThreadId -> slot (kNoSlot when unbound).
-  std::vector<int32_t> free_slots_;  // LIFO recycling.
-  int64_t live_count_ = 0;
   int64_t runnable_count_ = 0;
 };
 

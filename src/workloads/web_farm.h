@@ -166,6 +166,8 @@ struct WebFarmParams {
   int host_threads = 1;
   RbsConfig rbs;
   ControllerConfig controller;
+  // Must be true; stays only for perfbench/rrbench.cc, goes with the next benchmark
+  // change (forwarded to SystemConfig::thread_slabs).
   bool thread_slabs = true;
   bool idle_fast_forward = true;
 };

@@ -72,17 +72,19 @@ TEST(GoldenTraceTest, ServerFarmFourCpuScheduleIsPinned) {
 }
 
 TEST(GoldenTraceTest, ServerFarmHotPathModesAreTraceEquivalent) {
-  // The tentpole guarantee, pinned at scenario level: indexed pick vs reference scan
-  // and idle fast-forward on vs off schedule the farm bit-identically.
+  // The tentpole guarantee, pinned at scenario level: shadow mode (indexed pick
+  // asserted equal to the reference scan, and the pick's slab columns to its object
+  // fields, at every dispatch) and idle fast-forward on vs off schedule the farm
+  // bit-identically.
   ServerFarmParams params = FarmPinParams(4);
   params.run_for = Duration::Millis(120);
   const ServerFarmResult indexed = RunServerFarmScenario(params);
 
-  ServerFarmParams reference = params;
-  reference.rbs.use_indexed_pick = false;
-  const ServerFarmResult ref = RunServerFarmScenario(reference);
-  EXPECT_EQ(indexed.trace_hash, ref.trace_hash);
-  EXPECT_EQ(indexed.total_dispatches, ref.total_dispatches);
+  ServerFarmParams shadow = params;
+  shadow.rbs.shadow_check = true;
+  const ServerFarmResult checked = RunServerFarmScenario(shadow);
+  EXPECT_EQ(indexed.trace_hash, checked.trace_hash);
+  EXPECT_EQ(indexed.total_dispatches, checked.total_dispatches);
 
   ServerFarmParams no_ff = params;
   no_ff.idle_fast_forward = false;
@@ -91,23 +93,6 @@ TEST(GoldenTraceTest, ServerFarmHotPathModesAreTraceEquivalent) {
   EXPECT_EQ(indexed.total_dispatches, eager.total_dispatches);
   EXPECT_EQ(indexed.total_consumed_bytes, eager.total_consumed_bytes);
   EXPECT_EQ(eager.idle_suspensions, 0);  // The knob actually disables the machinery.
-}
-
-TEST(GoldenTraceTest, ServerFarmSlabModesAreTraceEquivalent) {
-  // The memory-layout tentpole guarantee, pinned at scenario level: the hot-field
-  // slab columns (plus the column sweeps and kAuto pick they enable) versus the
-  // pre-slab AoS build schedule the farm bit-identically — the slabs are a layout,
-  // not a policy.
-  ServerFarmParams params = FarmPinParams(4);
-  params.run_for = Duration::Millis(120);
-  const ServerFarmResult slabs_on = RunServerFarmScenario(params);
-
-  ServerFarmParams no_slabs = params;
-  no_slabs.thread_slabs = false;
-  const ServerFarmResult slabs_off = RunServerFarmScenario(no_slabs);
-  EXPECT_EQ(slabs_on.trace_hash, slabs_off.trace_hash);
-  EXPECT_EQ(slabs_on.total_dispatches, slabs_off.total_dispatches);
-  EXPECT_EQ(slabs_on.total_consumed_bytes, slabs_off.total_consumed_bytes);
 }
 
 TEST(GoldenTraceTest, ServerFarmControllerModesAreTraceEquivalent) {

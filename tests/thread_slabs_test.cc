@@ -1,13 +1,14 @@
-// Hot-field slabs and thread arena (task/thread_slabs.h): Bind/Release slot
-// lifecycle, write-through mirroring, migration slot stability, scheduler removal
-// mid-run, kAuto index activation, and the trace recorder's hash-only mode the
-// farm scenarios lean on.
+// Hot-field slabs and thread arena (task/thread_slabs.h): Bind seeding,
+// write-through mirroring, migration slot stability, scheduler removal mid-run,
+// kAuto index activation, the registry's slabs-only guard, and the trace
+// recorder's hash-only mode the farm scenarios lean on.
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "exp/scenarios.h"
 #include "sched/machine.h"
 #include "sched/rbs.h"
 #include "sim/simulator.h"
@@ -16,12 +17,13 @@
 #include "task/thread.h"
 #include "task/thread_slabs.h"
 #include "workloads/misc_work.h"
+#include "workloads/web_farm.h"
 
 namespace realrate {
 namespace {
 
-// Arena-backed threads bound to a standalone slab set (no registry), so the tests
-// can exercise Release — the registry itself never releases slots.
+// Arena-backed threads bound to a standalone slab set (no registry), so a test can
+// set a thread's fields before Bind seeds the columns from them.
 struct SlabRig {
   ThreadArena arena;
   ThreadSlabs slabs;
@@ -49,7 +51,6 @@ TEST(ThreadSlabsTest, BindSeedsColumnsFromObject) {
   EXPECT_EQ(slot, t->slab_slot());
   EXPECT_EQ(t->bound_slabs(), &rig.slabs);
   EXPECT_EQ(rig.slabs.thread_at(slot), t);
-  EXPECT_EQ(rig.slabs.slot_of(t->id()), slot);
   EXPECT_EQ(rig.slabs.state(slot), ThreadState::kRunnable);
   EXPECT_EQ(rig.slabs.policy(slot), SchedPolicy::kReservation);
   EXPECT_EQ(rig.slabs.cpu(slot), 3);
@@ -86,80 +87,8 @@ TEST(ThreadSlabsTest, RunnableCountTracksStateColumn) {
   EXPECT_EQ(rig.slabs.runnable_count(), 2);
   a->set_state(ThreadState::kBlocked);
   EXPECT_EQ(rig.slabs.runnable_count(), 1);
-  rig.slabs.Release(b);
+  b->set_state(ThreadState::kExited);
   EXPECT_EQ(rig.slabs.runnable_count(), 0);
-}
-
-TEST(ThreadSlabsTest, ReleaseRecyclesSlotsLifoAndLeavesOthersIntact) {
-  SlabRig rig;
-  for (int i = 0; i < 4; ++i) {
-    SimThread* t = rig.Spawn();
-    t->set_policy(SchedPolicy::kReservation);
-    t->SetReservation(Proportion::Ppt(10 + i), Duration::Millis(10));
-  }
-  const int32_t slot1 = rig.threads[1]->slab_slot();
-  const int32_t slot2 = rig.threads[2]->slab_slot();
-
-  rig.slabs.Release(rig.threads[1]);
-  rig.slabs.Release(rig.threads[2]);
-  EXPECT_EQ(rig.threads[1]->bound_slabs(), nullptr);
-  EXPECT_EQ(rig.threads[1]->slab_slot(), ThreadSlabs::kNoSlot);
-  // Freed slots read inert, so sweeps skip them by predicate.
-  EXPECT_EQ(rig.slabs.state(slot1), ThreadState::kExited);
-  EXPECT_EQ(rig.slabs.granted_ppt(slot1), 0);
-  EXPECT_EQ(rig.slabs.thread_at(slot1), nullptr);
-  // Survivors' slots and columns are untouched.
-  EXPECT_EQ(rig.threads[0]->slab_slot(), 0);
-  EXPECT_EQ(rig.threads[3]->slab_slot(), 3);
-  EXPECT_EQ(rig.slabs.granted_ppt(rig.threads[3]->slab_slot()), 13);
-  EXPECT_EQ(rig.slabs.live_count(), 2);
-
-  // LIFO recycling: the most recently freed slot is handed out first, and the
-  // slab does not grow while free slots exist.
-  const int32_t before = rig.slabs.slot_count();
-  SimThread* x = rig.Spawn();
-  SimThread* y = rig.Spawn();
-  EXPECT_EQ(x->slab_slot(), slot2);
-  EXPECT_EQ(y->slab_slot(), slot1);
-  EXPECT_EQ(rig.slabs.slot_count(), before);
-}
-
-TEST(ThreadSlabsTest, FourThousandThreadChurnKeepsBindingsCoherent) {
-  SlabRig rig;
-  constexpr int kTotal = 4096;
-  for (int i = 0; i < kTotal; ++i) {
-    SimThread* t = rig.Spawn();
-    t->set_state(i % 2 == 0 ? ThreadState::kRunnable : ThreadState::kBlocked);
-  }
-  EXPECT_EQ(rig.slabs.live_count(), kTotal);
-
-  // Release every third thread, then bind the same number of fresh ones: the slab
-  // must recycle every hole before growing, and every binding must stay coherent.
-  int released = 0;
-  for (int i = 0; i < kTotal; i += 3) {
-    rig.slabs.Release(rig.threads[static_cast<size_t>(i)]);
-    ++released;
-  }
-  EXPECT_EQ(rig.slabs.live_count(), kTotal - released);
-  const int32_t peak = rig.slabs.slot_count();
-  for (int i = 0; i < released; ++i) {
-    rig.Spawn();
-  }
-  EXPECT_EQ(rig.slabs.slot_count(), peak);
-  EXPECT_EQ(rig.slabs.live_count(), kTotal);
-
-  int32_t live_by_scan = 0;
-  for (int32_t s = 0; s < rig.slabs.slot_count(); ++s) {
-    SimThread* t = rig.slabs.thread_at(s);
-    if (t == nullptr) {
-      continue;
-    }
-    ++live_by_scan;
-    ASSERT_EQ(t->slab_slot(), s);
-    ASSERT_EQ(rig.slabs.slot_of(t->id()), s);
-    ASSERT_TRUE(rig.slabs.MatchesObject(*t));
-  }
-  EXPECT_EQ(live_by_scan, kTotal);
 }
 
 TEST(ThreadSlabsTest, MigrationRewritesCpuColumnWithoutMovingSlot) {
@@ -178,7 +107,6 @@ TEST(ThreadSlabsTest, MigrationRewritesCpuColumnWithoutMovingSlot) {
   machine.Attach(t);
 
   ThreadSlabs* slabs = threads.slabs();
-  ASSERT_NE(slabs, nullptr);
   const int32_t slot = t->slab_slot();
   const CpuId from = t->cpu();
   const CpuId to = from == 0 ? 1 : 0;
@@ -263,6 +191,24 @@ TEST(ThreadSlabsTest, TraceHashOnlyModeFoldsTheIdenticalHash) {
   EXPECT_TRUE(hash_only.events().empty());
   EXPECT_EQ(full.Hash(), hash_only.Hash());
   EXPECT_EQ(full.Hash(), full.HashScan());  // The incremental fold vs the oracle.
+}
+
+// Slab columns are the only thread layout: the registry constructor that still
+// takes the flag, and every scenario that forwards it, reject false.
+TEST(ThreadRegistryDeathTest, RejectsSlablessRegistry) {
+  EXPECT_DEATH(ThreadRegistry(false), "use_slabs must be true");
+}
+
+TEST(ThreadRegistryDeathTest, ServerFarmScenarioRejectsThreadSlabsOff) {
+  ServerFarmParams params;
+  params.thread_slabs = false;
+  EXPECT_DEATH(RunServerFarmScenario(params), "use_slabs must be true");
+}
+
+TEST(ThreadRegistryDeathTest, WebFarmScenarioRejectsThreadSlabsOff) {
+  WebFarmParams params;
+  params.thread_slabs = false;
+  EXPECT_DEATH(RunWebFarmScenario(params), "use_slabs must be true");
 }
 
 }  // namespace
