@@ -1,12 +1,14 @@
 // Thread-slab scaling: the memory layout itself, isolated from the scheduler.
 // One measurement over the structures in task/thread_slabs.h, at farm densities
 // (256 / 1024 / 4096 threads): the placement-census read (sum granted ppt of live
-// reserved threads on one core) as a slab column scan vs the same predicate chasing
-// arena-allocated SimThread objects (an AoS sweep over the records' getters). The
-// ratio is the cache-locality win the SoA columns exist for: a column sweep streams
-// the bytes it reads; the AoS sweep drags whole ~200-byte thread records through L2.
+// reserved threads on one core) as a slab column scan vs the same predicate through
+// the arena-allocated SimThread records' getters (the "aos" side). The columns are
+// the only store of these fields, so the getter sweep costs one record load per
+// thread (the getter reaches its slot through the record) plus the same column
+// reads; the ratio is what walking thread records costs over streaming the columns.
 //
-// Both sides compute the identical sum (asserted) — the ratio is layout, not work.
+// Both sides compute the identical sum (asserted) — the ratio is access path, not
+// work.
 //
 // The `SLAB_SCALE ...` line is machine-readable: scripts/check_slab_scale.py
 // compares it against the committed BENCH_slab_baseline.json in CI and fails on a
@@ -33,23 +35,22 @@ namespace {
 
 constexpr int kCores = 8;
 
-// `total` arena-allocated threads bound to slabs, laid out like the farm steady
-// state: reserved policy, ppt and periods cycled, cores round-robin, a quarter
+// `total` arena-allocated threads born into one slab set, laid out like the farm
+// steady state: reserved policy, ppt and periods cycled, cores round-robin, a quarter
 // blocked (still live — sweeps must skip by predicate, not by absence).
 // alignas pins the rig's stack placement: the sweep reads the column headers
 // through this object, and an unpinned frame makes measured throughput swing
 // ~30% with the parity of sizeof(ThreadSlabs) — layout luck, not layout cost.
 struct alignas(64) SlabRig {
+  ThreadSlabs slabs;  // Outlives the arena's records, which refer to it.
   ThreadArena arena;
-  ThreadSlabs slabs;
   std::vector<SimThread*> threads;
 
   explicit SlabRig(int total) {
     threads.reserve(static_cast<size_t>(total));
     for (int i = 0; i < total; ++i) {
-      SimThread* t = arena.Create(static_cast<ThreadId>(i), "t" + std::to_string(i),
+      SimThread* t = arena.Create(slabs, static_cast<ThreadId>(i), "t" + std::to_string(i),
                                   std::make_unique<CpuHogWork>());
-      slabs.Bind(t);
       t->set_policy(SchedPolicy::kReservation);
       t->SetReservation(Proportion::Ppt(1 + i % 4), Duration::Millis(5 + i % 28));
       t->set_cpu(static_cast<CpuId>(i % kCores));
@@ -72,7 +73,7 @@ int64_t SweepColumns(const ThreadSlabs& slabs, CpuId core) {
   return sum;
 }
 
-// The identical predicate chasing the thread records.
+// The identical predicate through the thread records' getters.
 int64_t SweepObjects(const std::vector<SimThread*>& threads, CpuId core) {
   int64_t sum = 0;
   for (const SimThread* t : threads) {
@@ -99,7 +100,7 @@ double MeasureSweep(bool columns, const SlabRig& rig, int64_t iterations) {
 void PrintSlabScale() {
   bench::PrintHeader(
       "Hot sweep: placement census (reserved ppt on one core) over every thread\n"
-      "slab column scan vs AoS pointer chase over arena-allocated SimThreads");
+      "slab column scan vs getter sweep over arena-allocated SimThread records");
   std::printf("  %8s %18s %18s %9s\n", "threads", "slab sweep/ws", "aos sweep/ws",
               "speedup");
   double slab_sweep_4096 = 0.0;

@@ -5,13 +5,13 @@ Runs bench_thread_slabs, parses its machine-readable `SLAB_SCALE ...` line, and
 fails when either:
   - the slab column sweep throughput at 4096 threads fell more than 2x below
     the committed baseline (BENCH_slab_baseline.json), or
-  - the slab-vs-AoS sweep speedup dropped below 1.05x — the column layout must
-    stay strictly cheaper to sweep than pointer-chasing thread records, on any
-    host; a drop below that bar means the slab sweep regressed to per-record
-    loads (or the mirror write-through got hot enough to poison the columns).
+  - the column sweep's speedup over the same sweep through the SimThread
+    getters (the `aos` keys) dropped below 1.05x — streaming the columns must
+    stay strictly cheaper than walking the thread records, on any host; a drop
+    below that bar means the column sweep regressed to per-record loads.
 
-The 2x tolerance absorbs CI-runner speed variance; a real layout regression
-(the sweep degenerating to the AoS pattern) lands at 1.0x and trips the
+The 2x tolerance absorbs CI-runner speed variance; a real regression (the
+column sweep degenerating to per-record loads) lands at 1.0x and trips the
 speedup bar regardless of host speed. Refresh the baseline with:
   scripts/check_slab_scale.py BUILD_DIR --write-baseline
 """

@@ -16,8 +16,8 @@
 // aggregates refreshed by the Resolve stage, kept as doubles for introspection only.
 //
 // The ledger's reference oracle (FixedPptOnCoreScan) reads each thread's core through
-// the registry's hot-field slab columns (task/thread_slabs.h) — the same
-// write-through mirror the dispatch layer scans, so ledger and slabs can never
+// the registry's hot-field slab columns (task/thread_slabs.h) — the only store of a
+// thread's core, which the dispatch layer scans too, so ledger and slabs can never
 // silently disagree about which core a fixed reservation is drawn from.
 //
 // Thread-safety: none — lives inside the single-threaded simulator like its owner.

@@ -82,7 +82,7 @@ const FeedbackAllocator::Controlled* FeedbackAllocator::Find(ThreadId id) const 
 void FeedbackAllocator::RegisterControlled(Controlled&& c) {
   // Cache the thread's slab slot (stable for its lifetime) so the per-tick sweeps
   // read columns without re-resolving.
-  RR_EXPECTS(c.thread->bound_slabs() == &slabs_);
+  RR_EXPECTS(&c.thread->slabs() == &slabs_);
   c.slab_slot = c.thread->slab_slot();
   if (IsFixedClass(c.cls)) {
     ledger_.AddFixed(c.thread->cpu(), c.fixed_ppt);
@@ -121,10 +121,6 @@ CpuId FeedbackAllocator::CpuOf(const Controlled& c) const { return slabs_.cpu(c.
 
 double FeedbackAllocator::ImportanceOf(const Controlled& c) const {
   return slabs_.importance(c.slab_slot);
-}
-
-void FeedbackAllocator::MirrorPressure(const Controlled& c) {
-  slabs_.set_pressure(c.slab_slot, c.last_pressure);
 }
 
 // Order-preserving, unlike Remove's last-slot swap: within one run the surviving
@@ -207,7 +203,6 @@ bool FeedbackAllocator::AddRealTime(SimThread* thread, Proportion proportion, Du
   c.period = period;
   c.fixed_ppt = proportion.ppt();
   c.desired = c.granted = request;
-  thread->set_thread_class(ThreadClass::kRealTime);
   SchedulerFor(thread).SetReservation(thread, proportion, period, machine_.sim().Now());
   machine_.sim().trace().Record(machine_.sim().Now(), TraceKind::kAdmitted, thread->id(),
                                 proportion.ppt());
@@ -232,7 +227,6 @@ bool FeedbackAllocator::AddAperiodicRealTime(SimThread* thread, Proportion propo
   c.period = config_.default_period;
   c.fixed_ppt = proportion.ppt();
   c.desired = c.granted = request;
-  thread->set_thread_class(ThreadClass::kAperiodicRealTime);
   SchedulerFor(thread).SetReservation(thread, proportion, c.period, machine_.sim().Now());
   machine_.sim().trace().Record(machine_.sim().Now(), TraceKind::kAdmitted, thread->id(),
                                 proportion.ppt());
@@ -259,7 +253,6 @@ void FeedbackAllocator::AddRealRate(SimThread* thread) {
     c.last_period_mark = machine_.sim().Now();
   }
   c.desired = c.granted = config_.estimator.min_fraction;
-  thread->set_thread_class(ThreadClass::kRealRate);
   Actuate(c, c.granted, machine_.sim().Now());
   RegisterControlled(std::move(c));
 }
@@ -273,7 +266,6 @@ void FeedbackAllocator::AddMiscellaneous(SimThread* thread) {
   c.period = config_.default_period;
   c.estimator = std::make_unique<ProportionEstimator>(config_.estimator);
   c.desired = c.granted = config_.estimator.min_fraction;
-  thread->set_thread_class(ThreadClass::kMiscellaneous);
   Actuate(c, c.granted, machine_.sim().Now());
   RegisterControlled(std::move(c));
 }
@@ -288,7 +280,6 @@ void FeedbackAllocator::AddInteractive(SimThread* thread) {
   // perception)": a small fixed period; the proportion floats with measured bursts.
   c.period = config_.interactive_period;
   c.desired = c.granted = config_.estimator.min_fraction;
-  thread->set_thread_class(ThreadClass::kInteractive);
   Actuate(c, c.granted, machine_.sim().Now());
   RegisterControlled(std::move(c));
 }
@@ -334,17 +325,6 @@ void FeedbackAllocator::RunOncePipeline(TimePoint now) {
   EstimateStage(dt, now);
   ResolveStage();
   ActuateStage(now);
-
-  // Slab shadow: after actuation every hot-field column must agree with the
-  // object state of every controlled thread, and the pressure column must hold
-  // exactly the pressure this tick estimated from.
-  if (config_.shadow_check) {
-    for (const Controlled& c : controlled_) {
-      RR_CHECK(slabs_.MatchesObject(*c.thread));
-      RR_CHECK(slabs_.pressure(c.slab_slot) == c.last_pressure);
-      ++shadow_checks_;
-    }
-  }
 
   // The controller's own cost (Fig. 5): fixed + per-controlled-thread.
   if (config_.charge_overhead) {
@@ -396,7 +376,6 @@ void FeedbackAllocator::EstimateStage(double dt, TimePoint now) {
         // and period to the specified amount and does not modify them in practice."
         c.desired = c.FixedFraction();
         c.last_pressure = 0.0;
-        MirrorPressure(c);
         continue;
       case ThreadClass::kRealRate:
         break;  // Pressure sampled by SampleStage.
@@ -425,12 +404,10 @@ void FeedbackAllocator::EstimateStage(double dt, TimePoint now) {
         c.desired = std::clamp(need, config_.estimator.min_fraction,
                                config_.estimator.max_fraction);
         c.last_pressure = 0.0;
-        MirrorPressure(c);
         continue;
       }
     }
     c.desired = c.estimator->Step(c.last_pressure, c.tick_used_fraction, c.granted, dt);
-    MirrorPressure(c);
 
     if (c.cls == ThreadClass::kRealRate && config_.enable_period_estimation) {
       // SampleStage validated (or refreshed) the cache this tick; no need to

@@ -20,10 +20,8 @@
 //     through the owning RbsScheduler — one ApplyReservations call per core per
 //     tick (per-update index maintenance unchanged);
 //   - per-thread hot fields (exit state, cpu, importance) are read from the
-//     registry's SoA slab columns (task/thread_slabs.h) instead of chasing each
-//     SimThread pointer, and each tick's progress pressure is published back into
-//     the slab's pressure column (this controller is that column's sole writer;
-//     shadow mode re-checks every column against the object state each tick).
+//     registry's SoA slab columns (task/thread_slabs.h), their only store, instead
+//     of chasing each SimThread pointer.
 // The original monolithic sweep survives as RunOnceReference();
 // ControllerConfig::use_pipeline = false falls back to it wholesale (the
 // bench_controller_scale comparison baseline), and ControllerConfig::shadow_check
@@ -275,15 +273,11 @@ class FeedbackAllocator {
   void EnsureQualityWindow(Controlled& c);
   // Slab-column reads for the per-tick sweeps: each controlled thread is read
   // through its column (one contiguous stream across the controlled set) instead of
-  // a SimThread pointer chase. The columns are write-through mirrors of the object
-  // state, so the values are identical by construction (and shadow mode asserts it
-  // every tick).
+  // a SimThread pointer chase. The columns are the threads' only store of these
+  // fields, so a column read is the getter's value.
   bool ExitedOf(const Controlled& c) const;
   CpuId CpuOf(const Controlled& c) const;
   double ImportanceOf(const Controlled& c) const;
-  // Publishes the tick's progress pressure into the slab's pressure column — this
-  // controller is that column's sole writer.
-  void MirrorPressure(const Controlled& c);
 
   // --- The staged pipeline (use_pipeline) ---
   void RunOncePipeline(TimePoint now);
@@ -327,9 +321,8 @@ class FeedbackAllocator {
   // Find, O(1) Remove by last-slot swap.
   std::unordered_map<ThreadId, size_t> slot_of_;
   BudgetLedger ledger_;
-  // The registry's hot-field slabs: the source the column helpers above read and
-  // the pressure column's write target.
-  ThreadSlabs& slabs_;
+  // The registry's hot-field slabs: the source the column helpers above read.
+  const ThreadSlabs& slabs_;
   // Per-core scratch reused across ticks by Resolve/Actuate.
   std::vector<std::vector<SquishRequest>> core_requests_;
   std::vector<std::vector<size_t>> core_slots_;

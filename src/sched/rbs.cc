@@ -6,19 +6,6 @@
 
 namespace realrate {
 
-namespace {
-// Reserved threads always outrank non-reserved ones. The goodness of a reserved thread
-// with remaining budget is this base plus a rate-monotonic bonus; non-reserved threads
-// score in [1, kRmBase).
-constexpr int64_t kRmBase = int64_t{1} << 40;
-
-// The rate-monotonic bonus is PeriodRank (task/thread_slabs.h): periods-per-hour,
-// shared by Goodness (the reference semantics), the pick index (the incrementally
-// maintained key), and the slab rm_rank column, so no consumer can disagree on
-// ordering.
-int64_t RmRank(const SimThread* thread) { return PeriodRank(thread->period()); }
-}  // namespace
-
 RbsScheduler::RbsScheduler(const Cpu& cpu, const RbsConfig& config) : cpu_(cpu), config_(config) {
   // Shadow mode must exercise the index it validates.
   if (config_.shadow_check) {
@@ -68,23 +55,23 @@ void RbsScheduler::Reindex(SimThread* thread) {
   }
 
   const bool eligible = active && reserved && thread->budget_remaining() > 0;
+  const int32_t slot = thread->slab_slot();
   int64_t primary = 0;
   if (eligible) {
     primary = config_.order == DispatchOrder::kEarliestDeadlineFirst
-                  ? (thread->period_start() + thread->period()).nanos()
-                  : -RmRank(thread);
+                  ? slabs_->deadline_nanos(slot)
+                  : -slabs_->rm_rank(slot);
   }
   if (node->in_pick_index) {
     if (eligible && primary == node->pick_primary) {
       return;  // Membership and key unchanged: the common OnRan case, O(1).
     }
     node->in_pick_index = false;  // The heap entry is now stale (generation mismatch).
-    pick_gen_by_slot_[static_cast<size_t>(thread->slab_slot())] = 0;
+    pick_gen_by_slot_[static_cast<size_t>(slot)] = 0;
     --pick_live_;
   }
   if (eligible) {
     node->pick_gen = next_gen_++;
-    const int32_t slot = thread->slab_slot();
     pick_gen_by_slot_[static_cast<size_t>(slot)] = node->pick_gen;
     pick_index_.push_back(PickKey{primary, node->seq, node->pick_gen, slot, thread});
     std::push_heap(pick_index_.begin(), pick_index_.end(), std::greater<PickKey>{});
@@ -144,9 +131,9 @@ void RbsScheduler::AddThread(SimThread* thread) {
   RR_EXPECTS(thread != nullptr);
   RR_EXPECTS(std::find(threads_.begin(), threads_.end(), thread) == threads_.end());
   if (slabs_ == nullptr) {
-    slabs_ = thread->bound_slabs();
+    slabs_ = &thread->slabs();
   }
-  RR_EXPECTS(slabs_ != nullptr && thread->bound_slabs() == slabs_);
+  RR_EXPECTS(&thread->slabs() == slabs_);
   const int32_t slot = thread->slab_slot();
   threads_.push_back(thread);
   slots_.push_back(slot);
@@ -246,21 +233,6 @@ void RbsScheduler::OnWake(SimThread* thread, TimePoint /*now*/) { Reindex(thread
 
 void RbsScheduler::OnBlock(SimThread* thread, TimePoint /*now*/) { Reindex(thread); }
 
-int64_t RbsScheduler::Goodness(const SimThread* thread) const {
-  if (!thread->IsRunnable() && thread->state() != ThreadState::kRunning) {
-    return 0;
-  }
-  if (HasReservation(thread)) {
-    if (thread->budget_remaining() <= 0) {
-      return 0;  // Used its allocation; sleeps until next period.
-    }
-    // Rate-monotonic: shorter period => higher goodness.
-    return kRmBase + RmRank(thread);
-  }
-  // Non-reserved: modest goodness so they run only when no reserved thread can.
-  return 1;
-}
-
 SimThread* RbsScheduler::PickReservedReference() const {
   // The original O(n) scan, over the slab columns. Reserved threads first.
   // Rate-monotonic: highest rank (shortest period). EDF: earliest deadline, where a
@@ -338,10 +310,8 @@ SimThread* RbsScheduler::PickNext(TimePoint /*now*/) {
     pick = PickReservedIndexed();
     if (config_.shadow_check) {
       // Shadow-scheduler mode: the reference scan runs alongside (side-effect-free)
-      // and must agree with the index at every dispatch; the pick's slab columns
-      // must agree with its object fields.
+      // and must agree with the index at every dispatch.
       RR_CHECK(pick == PickReservedReference());
-      RR_CHECK(pick == nullptr || slabs_->MatchesObject(*pick));
       ++shadow_checks_;
     }
   } else {

@@ -1,16 +1,15 @@
 // RbsScheduler: the paper's reservation-based proportion/period scheduler (§3.1).
-// Rate-monotonic ordering implemented through a goodness function, per-period cycle
-// budgets, and sleep-until-next-period once a thread has used its allocation. Threads
-// without a reservation fall back to round-robin behind all reserved threads, mirroring
-// "our policy calculates goodness to ensure that threads it controls have higher
-// goodness than jobs under other policies, and that jobs with shorter periods have
-// higher goodness values."
+// Rate-monotonic ordering (the paper's goodness order, keyed on PeriodRank), per-period
+// cycle budgets, and sleep-until-next-period once a thread has used its allocation.
+// Threads without a reservation fall back to round-robin behind all reserved threads,
+// mirroring "our policy calculates goodness to ensure that threads it controls have
+// higher goodness than jobs under other policies, and that jobs with shorter periods
+// have higher goodness values."
 //
 // Dispatch hot path (see docs/ARCHITECTURE.md, "The dispatch hot path"): every
-// enqueued thread is bound to its registry's hot-field slabs (task/thread_slabs.h),
-// and the scheduler keeps each thread's slot index-aligned with its thread vector, so
-// every sweep below reads slab columns in admission order instead of chasing
-// SimThread*.
+// enqueued thread lives in its registry's hot-field slabs (task/thread_slabs.h), and
+// the scheduler keeps each thread's slot index-aligned with its thread vector, so every
+// sweep below reads slab columns in admission order instead of chasing SimThread*.
 //   - Reserved threads with remaining budget live in a pick index keyed by
 //     incrementally maintained period rank (rate-monotonic mode) or period deadline
 //     (EDF mode), with the thread's admission sequence number as the tiebreaker —
@@ -105,8 +104,8 @@ class RbsScheduler : public Scheduler {
 
   const char* name() const override { return "rbs"; }
 
-  // `thread` must be bound to the same hot-field slabs as every other thread
-  // enqueued here (in practice: created by the one ThreadRegistry).
+  // `thread` must live in the same hot-field slabs as every other thread enqueued
+  // here (in practice: created by the one ThreadRegistry).
   void AddThread(SimThread* thread) override;
   void RemoveThread(SimThread* thread) override;
   void OnTick(TimePoint now) override;
@@ -118,7 +117,7 @@ class RbsScheduler : public Scheduler {
   void OnWake(SimThread* thread, TimePoint now) override;
   void OnBlock(SimThread* thread, TimePoint now) override;
 
-  // The original O(n) goodness/deadline scan (over the slab columns), the reference
+  // The original O(n) rank/deadline scan (over the slab columns), the reference
   // implementation the indexed pick is validated against (shadow_check), the path
   // kAuto runs below its threshold, and the baseline bench_dispatch_scale measures.
   // Shares the round-robin cursor with PickNext, so within one run use either entry
@@ -138,10 +137,6 @@ class RbsScheduler : public Scheduler {
   // Every thread in the batch must be actuatable by this instance (enqueued here,
   // or enqueued nowhere — the SetReservation contract).
   void ApplyReservations(const std::vector<ReservationUpdate>& batch, TimePoint now);
-
-  // The goodness function, exposed for tests. Higher runs first. Zero means "do not
-  // run now".
-  int64_t Goodness(const SimThread* thread) const;
 
   // Full budget (cycles) for one period of `thread`'s current reservation.
   Cycles PeriodBudget(const SimThread* thread) const;
@@ -244,7 +239,7 @@ class RbsScheduler : public Scheduler {
   // threads_[i]'s slab slot, kept index-aligned with threads_ so column scans
   // preserve scan order, ties, and the round-robin cursor arithmetic.
   std::vector<int32_t> slots_;
-  // The slabs every enqueued thread is bound to; set by the first AddThread.
+  // The slabs every enqueued thread lives in; set by the first AddThread.
   const ThreadSlabs* slabs_ = nullptr;
   DeadlineMissFn miss_fn_;
   size_t rr_cursor_ = 0;  // Round-robin position among non-reserved threads.

@@ -5,30 +5,22 @@
 namespace realrate {
 
 SimThread* ThreadRegistry::Create(std::string name, std::unique_ptr<WorkModel> work) {
-  const auto id = static_cast<ThreadId>(raw_.size());
-  SimThread* thread = arena_.Create(id, std::move(name), std::move(work));
-  raw_.push_back(thread);
+  SimThread* thread = arena_.Create(slabs_, static_cast<ThreadId>(slabs_.slot_count()),
+                                    std::move(name), std::move(work));
   thread->work().Bind(thread);
-  slabs_.Bind(thread);  // Appends, and nothing releases a slot: slot == id.
   return thread;
 }
 
 SimThread* ThreadRegistry::Find(ThreadId id) {
-  if (id < 0 || static_cast<size_t>(id) >= raw_.size()) {
-    return nullptr;
-  }
-  return raw_[static_cast<size_t>(id)];
+  return id < 0 || id >= slabs_.slot_count() ? nullptr : slabs_.thread_at(id);
 }
 
 const SimThread* ThreadRegistry::Find(ThreadId id) const {
-  if (id < 0 || static_cast<size_t>(id) >= raw_.size()) {
-    return nullptr;
-  }
-  return raw_[static_cast<size_t>(id)];
+  return id < 0 || id >= slabs_.slot_count() ? nullptr : slabs_.thread_at(id);
 }
 
 SimThread* ThreadRegistry::FindByName(const std::string& name) {
-  for (SimThread* t : raw_) {
+  for (SimThread* t : All()) {
     if (t->name() == name) {
       return t;
     }

@@ -13,8 +13,9 @@
 namespace realrate {
 
 // Thread records are allocated from a ThreadArena (contiguous chunks in creation
-// order, stable addresses) and bound to hot-field slabs at Create, so column sweeps
-// cover exactly the registry's thread set in creation order, with slot == id.
+// order, stable addresses) and each is born in its slot of the hot-field slabs, so
+// column sweeps cover exactly the registry's thread set in creation order, with
+// slot == id. The slabs' thread column is the registry's thread list.
 class ThreadRegistry {
  public:
   ThreadRegistry() = default;
@@ -30,24 +31,22 @@ class ThreadRegistry {
   const SimThread* Find(ThreadId id) const;
   SimThread* FindByName(const std::string& name);
 
-  size_t size() const { return raw_.size(); }
-  // Iteration in creation order (deterministic). Returns a reference to the
-  // registry's own pointer index — O(1); the Machine walks this on hot paths
-  // (placement, rebalancing, idle-suspension checks), so no per-call vector is
-  // materialized. The reference is invalidated by Create().
-  const std::vector<SimThread*>& All() const { return raw_; }
+  size_t size() const { return All().size(); }
+  // Iteration in creation order (deterministic). Returns a reference to the slabs'
+  // thread column — O(1); the Machine walks this on hot paths (placement,
+  // rebalancing, idle-suspension checks), so no per-call vector is materialized.
+  // The reference is invalidated by Create().
+  const std::vector<SimThread*>& All() const { return slabs_.threads(); }
 
-  // The hot-field slabs every registry thread is bound to (never null). Slots are
+  // The hot-field slabs every registry thread lives in (never null). Slots are
   // never released, so slot == id and slot order == creation order.
   ThreadSlabs* slabs() { return &slabs_; }
   const ThreadSlabs* slabs() const { return &slabs_; }
 
  private:
-  ThreadArena arena_;
-  std::vector<SimThread*> raw_;  // Indexed by ThreadId; maintained by Create().
-  // Declared after arena_ so it is destroyed first: its destructor unbinds threads,
-  // which must still be alive.
+  // Declared before arena_ so it outlives the records, which refer to it.
   ThreadSlabs slabs_;
+  ThreadArena arena_;
 };
 
 }  // namespace realrate

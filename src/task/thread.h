@@ -1,12 +1,18 @@
 // SimThread: the schedulable entity. Carries the reservation attributes (proportion,
-// period), the controller-facing classification and importance, usage accounting, and
-// the thread's work model.
+// period), the controller-facing importance, usage accounting, and the thread's work
+// model. The hot fields (state, policy, core, importance, reservation, budget, period
+// phase) live in the thread's slot of its ThreadSlabs columns (task/thread_slabs.h),
+// the only store of them; their getters and setters below are inline reads and
+// writes of that slot.
 #ifndef REALRATE_TASK_THREAD_H_
 #define REALRATE_TASK_THREAD_H_
 
+#include <cstddef>
 #include <memory>
 #include <string>
+#include <utility>
 
+#include "task/thread_slabs.h"
 #include "task/work_model.h"
 #include "util/assert.h"
 #include "util/time.h"
@@ -14,38 +20,15 @@
 
 namespace realrate {
 
-enum class ThreadState : uint8_t {
-  kRunnable,
-  kRunning,
-  kBlocked,   // Waiting on a queue/mutex/tty.
-  kSleeping,  // Waiting on a timer (budget exhausted, next period, or voluntary).
-  kExited,
-};
-
-const char* ToString(ThreadState state);
-
-// The controller's taxonomy (paper Figure 2), plus the §3.2 interactive refinement.
-enum class ThreadClass : uint8_t {
-  kRealTime,          // Proportion and period specified: a reservation; never adapted.
-  kAperiodicRealTime, // Proportion specified, period assigned by the controller.
-  kRealRate,          // Progress metric visible; controller estimates both.
-  kMiscellaneous,     // No information; constant-pressure heuristic.
-  kInteractive,       // Tty listener: small period, proportion from burst measurement.
-};
-
-const char* ToString(ThreadClass cls);
-
-class ThreadSlabs;
-
-// Scheduling policies recognised by the dispatcher layer.
-enum class SchedPolicy : uint8_t {
-  kReservation,  // Under the RBS proportion/period policy.
-  kOther,        // Default policy (used before registration and by baselines).
-};
-
 class SimThread {
  public:
-  SimThread(ThreadId id, std::string name, std::unique_ptr<WorkModel> work);
+  // Appends this thread's slot to `slabs` (which must outlive it); `id` must be the
+  // next slot, so slot == id.
+  SimThread(ThreadSlabs& slabs, ThreadId id, std::string name, std::unique_ptr<WorkModel> work)
+      : id_(id), name_(std::move(name)), work_(std::move(work)), slabs_(slabs) {
+    RR_EXPECTS(work_ != nullptr);
+    slabs_.Append(this);
+  }
 
   SimThread(const SimThread&) = delete;
   SimThread& operator=(const SimThread&) = delete;
@@ -54,49 +37,68 @@ class SimThread {
   const std::string& name() const { return name_; }
   WorkModel& work() { return *work_; }
 
-  // Hot-field setters (state, class, policy, importance, affinity, reservation,
-  // budget, period phase) write through to the bound slab columns, so they are
-  // defined out of line in thread.cc — every other accessor stays inline.
-
-  ThreadState state() const { return state_; }
-  void set_state(ThreadState s);
+  ThreadState state() const { return slabs_.state(slab_slot()); }
+  void set_state(ThreadState s) {
+    ThreadState& column = slabs_.state_[at()];
+    slabs_.runnable_count_ += (s == ThreadState::kRunnable) - (column == ThreadState::kRunnable);
+    column = s;
+  }
   // When the thread last became runnable (wake from block/sleep; origin at creation).
   // The deadline-miss check uses it to ignore threads that only wanted CPU for part of
   // the period.
   TimePoint last_wake_time() const { return last_wake_time_; }
   void set_last_wake_time(TimePoint t) { last_wake_time_ = t; }
-  bool IsRunnable() const { return state_ == ThreadState::kRunnable; }
-  bool HasExited() const { return state_ == ThreadState::kExited; }
+  bool IsRunnable() const { return state() == ThreadState::kRunnable; }
+  bool HasExited() const { return state() == ThreadState::kExited; }
 
-  // --- Classification / controller inputs ---
-  ThreadClass thread_class() const { return class_; }
-  void set_thread_class(ThreadClass c);
-  SchedPolicy policy() const { return policy_; }
-  void set_policy(SchedPolicy p);
-  double importance() const { return importance_; }
-  void set_importance(double w);
+  // --- Controller inputs ---
+  SchedPolicy policy() const { return slabs_.policy(slab_slot()); }
+  void set_policy(SchedPolicy p) { slabs_.policy_[at()] = p; }
+  double importance() const { return slabs_.importance(slab_slot()); }
+  void set_importance(double w) {
+    RR_EXPECTS(w > 0);
+    slabs_.importance_[at()] = w;
+  }
 
   // --- Core affinity (maintained by the Machine's placement/migration policy) ---
   // The core this thread dispatches on. A thread only ever runs on its assigned core;
   // the Machine moves it with Migrate(), never mid-dispatch.
-  CpuId cpu() const { return cpu_; }
-  void set_cpu(CpuId core);
+  CpuId cpu() const { return slabs_.cpu(slab_slot()); }
+  void set_cpu(CpuId core) {
+    RR_EXPECTS(core >= 0);
+    slabs_.cpu_[at()] = core;
+  }
 
   // --- Reservation attributes (actuated by the controller) ---
-  Proportion proportion() const { return proportion_; }
-  Duration period() const { return period_; }
-  void SetReservation(Proportion proportion, Duration period);
+  Proportion proportion() const { return Proportion::Ppt(slabs_.granted_ppt(slab_slot())); }
+  Duration period() const { return Duration::Nanos(slabs_.period_nanos(slab_slot())); }
+  // Keeps the period phase: the current period still starts at period_start(), and
+  // its deadline moves to period_start() + `period`.
+  void SetReservation(Proportion proportion, Duration period) {
+    RR_EXPECTS(proportion.ppt() >= 0 && proportion.ppt() <= Proportion::kFull);
+    RR_EXPECTS(period.IsPositive());
+    const TimePoint start = period_start();
+    const size_t i = at();
+    slabs_.granted_ppt_[i] = proportion.ppt();
+    slabs_.period_nanos_[i] = period.nanos();
+    slabs_.rm_rank_[i] = PeriodRank(period);
+    slabs_.deadline_nanos_[i] = (start + period).nanos();
+  }
 
   // --- Per-period budget bookkeeping (maintained by the RBS scheduler) ---
-  Cycles budget_remaining() const { return budget_remaining_; }
-  void set_budget_remaining(Cycles c);
+  Cycles budget_remaining() const { return slabs_.budget(slab_slot()); }
+  void set_budget_remaining(Cycles c) { slabs_.budget_[at()] = c; }
   // Budget the thread was entitled to at the start of the current period. Deadline
   // misses are judged against this snapshot, so a controller raising the proportion
   // mid-period does not retroactively create "misses".
   Cycles period_entitlement() const { return period_entitlement_; }
   void set_period_entitlement(Cycles c) { period_entitlement_ = c; }
-  TimePoint period_start() const { return period_start_; }
-  void set_period_start(TimePoint t);
+  // The period start is stored as the deadline: start == deadline − period.
+  TimePoint period_start() const {
+    const int32_t s = slab_slot();
+    return TimePoint::FromNanos(slabs_.deadline_nanos(s) - slabs_.period_nanos(s));
+  }
+  void set_period_start(TimePoint t) { slabs_.deadline_nanos_[at()] = (t + period()).nanos(); }
   int64_t deadline_misses() const { return deadline_misses_; }
   void CountDeadlineMiss() { ++deadline_misses_; }
 
@@ -108,12 +110,11 @@ class SimThread {
   void* sched_slot() const { return sched_slot_; }
   void set_sched_slot(void* slot) { sched_slot_ = slot; }
 
-  // --- Hot-field slab binding (see task/thread_slabs.h) ---
-  // The slab this thread's hot fields are mirrored into (null when unbound) and its
-  // slot there. The slot is stable across migrations and other threads' lifecycle;
-  // consumers may cache it for the binding's lifetime.
-  ThreadSlabs* bound_slabs() const { return slabs_; }
-  int32_t slab_slot() const { return slab_slot_; }
+  // --- Hot-field slabs (see task/thread_slabs.h) ---
+  // The slabs holding this thread's hot fields, and its slot there (== its id). The
+  // slot is stable for the thread's lifetime; consumers may cache it.
+  const ThreadSlabs& slabs() const { return slabs_; }
+  int32_t slab_slot() const { return id_; }
 
   // --- Baseline-scheduler bookkeeping ---
   int priority() const { return priority_; }
@@ -160,27 +161,14 @@ class SimThread {
   double burst_ewma_cycles() const { return burst_ewma_; }
 
  private:
-  friend class ThreadSlabs;  // Maintains slabs_/slab_slot_ on Bind and unbind.
+  size_t at() const { return static_cast<size_t>(id_); }
 
   const ThreadId id_;
   const std::string name_;
   std::unique_ptr<WorkModel> work_;
+  ThreadSlabs& slabs_;
 
-  ThreadSlabs* slabs_ = nullptr;
-  int32_t slab_slot_ = -1;
-
-  ThreadState state_ = ThreadState::kRunnable;
-  ThreadClass class_ = ThreadClass::kMiscellaneous;
-  SchedPolicy policy_ = SchedPolicy::kOther;
-  double importance_ = 1.0;
-  CpuId cpu_ = 0;
-
-  Proportion proportion_ = Proportion::Zero();
-  Duration period_ = Duration::Millis(30);  // Paper's default period.
-
-  Cycles budget_remaining_ = 0;
   Cycles period_entitlement_ = 0;
-  TimePoint period_start_;
   TimePoint last_wake_time_;
   int64_t deadline_misses_ = 0;
 

@@ -3,78 +3,79 @@
 #include <new>
 #include <utility>
 
+#include "task/thread.h"
+
 namespace realrate {
 
-ThreadSlabs::~ThreadSlabs() {
-  for (SimThread* t : thread_) {
-    t->slabs_ = nullptr;
-    t->slab_slot_ = kNoSlot;
+const char* ToString(ThreadState state) {
+  switch (state) {
+    case ThreadState::kRunnable:
+      return "runnable";
+    case ThreadState::kRunning:
+      return "running";
+    case ThreadState::kBlocked:
+      return "blocked";
+    case ThreadState::kSleeping:
+      return "sleeping";
+    case ThreadState::kExited:
+      return "exited";
   }
+  return "?";
 }
 
-void ThreadSlabs::SeedColumns(int32_t slot, const SimThread& t) {
-  const size_t i = static_cast<size_t>(slot);
-  state_[i] = t.state();
-  class_[i] = t.thread_class();
-  policy_[i] = t.policy();
-  cpu_[i] = t.cpu();
-  importance_[i] = t.importance();
-  budget_[i] = t.budget_remaining();
-  pressure_[i] = 0.0;
-  MirrorReservation(slot, t);
+const char* ToString(ThreadClass cls) {
+  switch (cls) {
+    case ThreadClass::kRealTime:
+      return "real-time";
+    case ThreadClass::kAperiodicRealTime:
+      return "aperiodic-real-time";
+    case ThreadClass::kRealRate:
+      return "real-rate";
+    case ThreadClass::kMiscellaneous:
+      return "miscellaneous";
+    case ThreadClass::kInteractive:
+      return "interactive";
+  }
+  return "?";
 }
 
-int32_t ThreadSlabs::Bind(SimThread* thread) {
+void ThreadSlabs::Append(SimThread* thread) {
   RR_EXPECTS(thread != nullptr);
-  RR_EXPECTS(thread->slabs_ == nullptr);  // One binding at a time.
-  const int32_t slot = slot_count();
+  // Slots are only ever appended, so slot == id holds for every thread.
+  RR_EXPECTS(thread->id() == slot_count());
   thread_.push_back(thread);
-  state_.emplace_back();
-  class_.emplace_back();
-  policy_.emplace_back();
-  cpu_.emplace_back();
-  granted_ppt_.emplace_back();
-  rm_rank_.emplace_back();
-  deadline_nanos_.emplace_back();
-  budget_.emplace_back();
-  importance_.emplace_back();
-  pressure_.emplace_back();
-  SeedColumns(slot, *thread);
-  if (state_.back() == ThreadState::kRunnable) {
-    ++runnable_count_;
-  }
-  thread->slabs_ = this;
-  thread->slab_slot_ = slot;
-  return slot;
-}
-
-bool ThreadSlabs::MatchesObject(const SimThread& t) const {
-  if (t.slabs_ != this) {
-    return false;
-  }
-  const size_t i = static_cast<size_t>(t.slab_slot_);
-  return thread_[i] == &t && state_[i] == t.state() && class_[i] == t.thread_class() &&
-         policy_[i] == t.policy() && cpu_[i] == t.cpu() &&
-         granted_ppt_[i] == t.proportion().ppt() && rm_rank_[i] == PeriodRank(t.period()) &&
-         deadline_nanos_[i] == (t.period_start() + t.period()).nanos() &&
-         budget_[i] == t.budget_remaining() && importance_[i] == t.importance();
+  state_.push_back(ThreadState::kRunnable);
+  policy_.push_back(SchedPolicy::kOther);
+  cpu_.push_back(0);
+  importance_.push_back(1.0);
+  granted_ppt_.push_back(0);
+  period_nanos_.push_back(kDefaultPeriod.nanos());
+  rm_rank_.push_back(PeriodRank(kDefaultPeriod));
+  deadline_nanos_.push_back((TimePoint::Origin() + kDefaultPeriod).nanos());
+  budget_.push_back(0);
+  ++runnable_count_;
 }
 
 ThreadArena::~ThreadArena() {
-  for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
-    (*it)->~SimThread();
+  size_t used = used_in_last_;
+  for (auto chunk = chunks_.rbegin(); chunk != chunks_.rend(); ++chunk) {
+    for (size_t i = used; i-- > 0;) {
+      std::launder(reinterpret_cast<SimThread*>(chunk->get() + i * sizeof(SimThread)))
+          ->~SimThread();
+    }
+    used = kRecordsPerChunk;
   }
 }
 
-SimThread* ThreadArena::Create(ThreadId id, std::string name, std::unique_ptr<WorkModel> work) {
+SimThread* ThreadArena::Create(ThreadSlabs& slabs, ThreadId id, std::string name,
+                               std::unique_ptr<WorkModel> work) {
   if (used_in_last_ == kRecordsPerChunk) {
     chunks_.push_back(std::make_unique<std::byte[]>(kRecordsPerChunk * sizeof(SimThread)));
     used_in_last_ = 0;
   }
   void* p = chunks_.back().get() + used_in_last_ * sizeof(SimThread);
+  SimThread* t = new (p) SimThread(slabs, id, std::move(name), std::move(work));
   ++used_in_last_;
-  SimThread* t = new (p) SimThread(id, std::move(name), std::move(work));
-  records_.push_back(t);
   return t;
 }
 

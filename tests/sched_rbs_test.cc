@@ -1,4 +1,4 @@
-// RBS scheduler + Machine behaviour: proportion enforcement, rate-monotonic goodness,
+// RBS scheduler + Machine behaviour: proportion enforcement, rate-monotonic picks,
 // budget exhaustion/replenishment, reservation updates, deadline misses.
 #include <memory>
 
@@ -30,6 +30,9 @@ class RbsRig {
   void Reserve(SimThread* t, int ppt, Duration period) {
     rbs_.SetReservation(t, Proportion::Ppt(ppt), period, sim_.Now());
   }
+
+  // Charges `t` its whole remaining budget, as a dispatch would.
+  void ExhaustBudget(SimThread* t) { rbs_.OnRan(t, t->budget_remaining(), sim_.Now()); }
 
   double CpuShare(SimThread* t, Duration elapsed) const {
     return static_cast<double>(t->total_cycles()) /
@@ -98,30 +101,35 @@ TEST(RbsSchedulerTest, UnreservedRunsOnlyInSlack) {
   EXPECT_NEAR(rig.CpuShare(background, Duration::Seconds(1)), 0.50, 0.01);
 }
 
-TEST(RbsSchedulerTest, GoodnessIsRateMonotonic) {
+TEST(RbsSchedulerTest, ShorterPeriodPickedFirst) {
+  // Rate-monotonic: created second, the shorter period still wins the pick.
   RbsRig rig;
-  SimThread* fast = rig.SpawnHog("fast");
   SimThread* slow = rig.SpawnHog("slow");
-  rig.Reserve(fast, 100, Duration::Millis(5));
+  SimThread* fast = rig.SpawnHog("fast");
   rig.Reserve(slow, 100, Duration::Millis(50));
-  EXPECT_GT(rig.rbs_.Goodness(fast), rig.rbs_.Goodness(slow));
-  EXPECT_GT(rig.rbs_.Goodness(slow), 0);
+  rig.Reserve(fast, 100, Duration::Millis(5));
+  EXPECT_EQ(rig.rbs_.PickNext(rig.sim_.Now()), fast);
+  rig.ExhaustBudget(fast);
+  EXPECT_EQ(rig.rbs_.PickNext(rig.sim_.Now()), slow);
 }
 
-TEST(RbsSchedulerTest, GoodnessZeroWhenBudgetExhausted) {
-  RbsRig rig;
+TEST(RbsSchedulerTest, ExhaustedReservationNotPicked) {
+  RbsRig rig;  // Not work-conserving.
   SimThread* t = rig.SpawnHog("t");
   rig.Reserve(t, 100, Duration::Millis(10));
-  t->set_budget_remaining(0);
-  EXPECT_EQ(rig.rbs_.Goodness(t), 0);
+  EXPECT_EQ(rig.rbs_.PickNext(rig.sim_.Now()), t);
+  rig.ExhaustBudget(t);
+  EXPECT_EQ(rig.rbs_.PickNext(rig.sim_.Now()), nullptr);
 }
 
 TEST(RbsSchedulerTest, ReservedOutranksUnreserved) {
   RbsRig rig;
-  SimThread* reserved = rig.SpawnHog("reserved");
   SimThread* plain = rig.SpawnHog("plain");
+  SimThread* reserved = rig.SpawnHog("reserved");
   rig.Reserve(reserved, 10, Duration::Millis(10));
-  EXPECT_GT(rig.rbs_.Goodness(reserved), rig.rbs_.Goodness(plain));
+  EXPECT_EQ(rig.rbs_.PickNext(rig.sim_.Now()), reserved);
+  rig.ExhaustBudget(reserved);
+  EXPECT_EQ(rig.rbs_.PickNext(rig.sim_.Now()), plain);
 }
 
 TEST(RbsSchedulerTest, BudgetExhaustionTracedAndSleeps) {

@@ -44,7 +44,6 @@ TEST(SimThreadTest, ReservationAttributes) {
 TEST(SimThreadTest, DefaultsMatchTaxonomy) {
   ThreadRegistry reg;
   SimThread* t = reg.Create("t", std::make_unique<CpuHogWork>());
-  EXPECT_EQ(t->thread_class(), ThreadClass::kMiscellaneous);
   EXPECT_EQ(t->policy(), SchedPolicy::kOther);
   EXPECT_EQ(t->state(), ThreadState::kRunnable);
   EXPECT_DOUBLE_EQ(t->importance(), 1.0);

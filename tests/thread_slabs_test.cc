@@ -1,7 +1,8 @@
-// Hot-field slabs and thread arena (task/thread_slabs.h): Bind seeding,
-// write-through mirroring, migration slot stability, scheduler removal mid-run,
-// kAuto index activation, the registry's slabs-only guard, and the trace
-// recorder's hash-only mode the farm scenarios lean on.
+// Hot-field slabs and thread arena (task/thread_slabs.h): a new thread's column
+// defaults, setters writing the columns, the period phase kept across reservation
+// changes, the registry's slot-ordered thread list, migration slot stability,
+// scheduler removal mid-run, kAuto index activation, the registry's slabs-only
+// guard, and the trace recorder's hash-only mode the farm scenarios lean on.
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,45 +23,40 @@
 namespace realrate {
 namespace {
 
-// Arena-backed threads bound to a standalone slab set (no registry), so a test can
-// set a thread's fields before Bind seeds the columns from them.
+// Arena-backed threads born into a standalone slab set (no registry).
 struct SlabRig {
+  ThreadSlabs slabs;  // Outlives the arena's records, which refer to it.
   ThreadArena arena;
-  ThreadSlabs slabs;
-  std::vector<SimThread*> threads;
 
   SimThread* Spawn() {
-    const auto id = static_cast<ThreadId>(arena.size());
-    SimThread* t = arena.Create(id, "t" + std::to_string(id),
-                                std::make_unique<CpuHogWork>());
-    slabs.Bind(t);
-    threads.push_back(t);
-    return t;
+    const auto id = static_cast<ThreadId>(slabs.slot_count());
+    return arena.Create(slabs, id, "t" + std::to_string(id), std::make_unique<CpuHogWork>());
   }
 };
 
-TEST(ThreadSlabsTest, BindSeedsColumnsFromObject) {
+TEST(ThreadSlabsTest, NewThreadColumnsHoldDefaults) {
   SlabRig rig;
-  SimThread* t = rig.arena.Create(0, "seeded", std::make_unique<CpuHogWork>());
-  t->set_policy(SchedPolicy::kReservation);
-  t->SetReservation(Proportion::Ppt(250), Duration::Millis(20));
-  t->set_cpu(3);
-  t->set_state(ThreadState::kRunnable);
-
-  const int32_t slot = rig.slabs.Bind(t);
-  EXPECT_EQ(slot, t->slab_slot());
-  EXPECT_EQ(t->bound_slabs(), &rig.slabs);
+  rig.Spawn();
+  SimThread* t = rig.Spawn();
+  const int32_t slot = t->slab_slot();
+  EXPECT_EQ(slot, 1);
+  EXPECT_EQ(&t->slabs(), &rig.slabs);
+  EXPECT_EQ(rig.slabs.slot_count(), 2);
   EXPECT_EQ(rig.slabs.thread_at(slot), t);
   EXPECT_EQ(rig.slabs.state(slot), ThreadState::kRunnable);
-  EXPECT_EQ(rig.slabs.policy(slot), SchedPolicy::kReservation);
-  EXPECT_EQ(rig.slabs.cpu(slot), 3);
-  EXPECT_EQ(rig.slabs.granted_ppt(slot), 250);
-  EXPECT_EQ(rig.slabs.rm_rank(slot), PeriodRank(Duration::Millis(20)));
-  EXPECT_EQ(rig.slabs.deadline_nanos(slot), (t->period_start() + t->period()).nanos());
-  EXPECT_TRUE(rig.slabs.MatchesObject(*t));
+  EXPECT_EQ(rig.slabs.policy(slot), SchedPolicy::kOther);
+  EXPECT_EQ(rig.slabs.cpu(slot), 0);
+  EXPECT_EQ(rig.slabs.granted_ppt(slot), 0);
+  EXPECT_EQ(rig.slabs.period_nanos(slot), Duration::Millis(30).nanos());
+  EXPECT_EQ(rig.slabs.rm_rank(slot), PeriodRank(Duration::Millis(30)));
+  EXPECT_EQ(rig.slabs.deadline_nanos(slot), Duration::Millis(30).nanos());
+  EXPECT_EQ(rig.slabs.budget(slot), 0);
+  EXPECT_EQ(rig.slabs.importance(slot), 1.0);
+  EXPECT_EQ(rig.slabs.runnable_count(), 2);
+  EXPECT_EQ(t->period_start(), TimePoint::Origin());
 }
 
-TEST(ThreadSlabsTest, SettersWriteThroughToColumns) {
+TEST(ThreadSlabsTest, SettersWriteColumns) {
   SlabRig rig;
   SimThread* t = rig.Spawn();
   const int32_t slot = t->slab_slot();
@@ -70,12 +66,57 @@ TEST(ThreadSlabsTest, SettersWriteThroughToColumns) {
   t->set_cpu(5);
   EXPECT_EQ(rig.slabs.cpu(slot), 5);
   t->set_policy(SchedPolicy::kReservation);
+  EXPECT_EQ(rig.slabs.policy(slot), SchedPolicy::kReservation);
   t->SetReservation(Proportion::Ppt(77), Duration::Millis(7));
   EXPECT_EQ(rig.slabs.granted_ppt(slot), 77);
+  EXPECT_EQ(rig.slabs.period_nanos(slot), Duration::Millis(7).nanos());
   EXPECT_EQ(rig.slabs.rm_rank(slot), PeriodRank(Duration::Millis(7)));
   t->set_importance(4.5);
   EXPECT_EQ(rig.slabs.importance(slot), 4.5);
-  EXPECT_TRUE(rig.slabs.MatchesObject(*t));
+  t->set_budget_remaining(1234);
+  EXPECT_EQ(rig.slabs.budget(slot), 1234);
+  t->set_period_start(TimePoint::Origin() + Duration::Millis(40));
+  EXPECT_EQ(rig.slabs.deadline_nanos(slot), Duration::Millis(47).nanos());
+}
+
+TEST(ThreadSlabsTest, ReservationChangeKeepsPeriodPhase) {
+  // The period start is stored as deadline - period, so a new period must move the
+  // deadline and leave the start where it was.
+  SlabRig rig;
+  SimThread* t = rig.Spawn();
+  const int32_t slot = t->slab_slot();
+  const TimePoint t0 = TimePoint::Origin() + Duration::Millis(123);
+  t->set_period_start(t0);
+  t->SetReservation(Proportion::Ppt(250), Duration::Millis(20));
+  EXPECT_EQ(t->period_start(), t0);
+  EXPECT_EQ(rig.slabs.deadline_nanos(slot), (t0 + Duration::Millis(20)).nanos());
+  EXPECT_EQ(rig.slabs.rm_rank(slot), PeriodRank(Duration::Millis(20)));
+  t->SetReservation(Proportion::Ppt(100), Duration::Millis(7));
+  EXPECT_EQ(t->period_start(), t0);
+  EXPECT_EQ(t->period(), Duration::Millis(7));
+  EXPECT_EQ(rig.slabs.deadline_nanos(slot), (t0 + Duration::Millis(7)).nanos());
+  EXPECT_EQ(rig.slabs.rm_rank(slot), PeriodRank(Duration::Millis(7)));
+}
+
+TEST(ThreadSlabsTest, RegistryThreadListIsSlotOrder) {
+  // 600 threads span three arena chunks; under ASan the registry's teardown also
+  // checks the arena's chunk-walk destruction.
+  ThreadRegistry threads;
+  for (int i = 0; i < 600; ++i) {
+    threads.Create("t" + std::to_string(i), std::make_unique<CpuHogWork>());
+  }
+  const ThreadSlabs& slabs = *threads.slabs();
+  ASSERT_EQ(threads.size(), 600u);
+  ASSERT_EQ(slabs.slot_count(), 600);
+  for (int32_t i = 0; i < 600; ++i) {
+    SimThread* t = threads.All()[static_cast<size_t>(i)];
+    EXPECT_EQ(threads.Find(i), t);
+    EXPECT_EQ(slabs.thread_at(i), t);
+    EXPECT_EQ(t->id(), i);
+    EXPECT_EQ(t->slab_slot(), i);
+    EXPECT_EQ(t->name(), "t" + std::to_string(i));
+  }
+  EXPECT_EQ(slabs.runnable_count(), 600);
 }
 
 TEST(ThreadSlabsTest, RunnableCountTracksStateColumn) {
@@ -114,7 +155,7 @@ TEST(ThreadSlabsTest, MigrationRewritesCpuColumnWithoutMovingSlot) {
   EXPECT_EQ(t->slab_slot(), slot);
   EXPECT_EQ(slabs->cpu(slot), to);
   EXPECT_EQ(slabs->thread_at(slot), t);
-  EXPECT_TRUE(slabs->MatchesObject(*t));
+  EXPECT_EQ(t->cpu(), to);
 }
 
 TEST(ThreadSlabsTest, SchedulerRemoveMidRunKeepsSlabBindingAndReindexes) {
