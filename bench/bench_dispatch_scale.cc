@@ -1,23 +1,22 @@
 // Dispatch hot-path scaling: the indexed run queues (sched/rbs.h) against the
-// original O(n) reference scan, both over the registry's hot-field slab columns
-// (task/thread_slabs.h). Not a paper figure — the paper's machine runs tens of
-// threads — but the ROADMAP's production-scale demand: thousands of pipeline
-// threads dispatched as fast as the host allows. Both picks return the *identical*
-// thread (shadow mode asserts it at every dispatch in the farm trace pins and the
-// fuzz battery), so the ratio below is pure hot-path cost, not behavior drift.
+// original O(n) reference scan (harness/invariants.h's ReferenceReservedPick), both
+// over the registry's hot-field slab columns (task/thread_slabs.h). Not a paper
+// figure — the paper's machine runs tens of threads — but the ROADMAP's
+// production-scale demand: thousands of pipeline threads dispatched as fast as the
+// host allows. Both picks return the *identical* thread (the invariant oracle checks
+// it at every dispatch of the fuzz battery), so the ratio below is pure hot-path
+// cost, not behavior drift.
 //
 // Two measurements:
 //   1. Dispatcher primitive: PickNext throughput on one run queue holding 1024
 //      threads (a handful runnable, the rest blocked — the farm steady state),
-//      against PickNextReference on the same run queue. The reference scan touches
+//      against ReferenceReservedPick on the same run queue. The reference scan touches
 //      every thread's columns per pick; the indexed pick reads the head of the
 //      ordered index. This is the >= 5x headline number, and the regression gate
 //      CI checks against BENCH_dispatch_baseline.json.
 //   2. End-to-end: wall-clock dispatch throughput of RunServerFarmScenario with the
-//      production defaults (pick_mode = kAuto), where pick cost is diluted by real
-//      work (grants, queues, controller) across per-core run queues. The low-density
-//      rows sit below kAuto's threshold (reference scan), the high-density rows
-//      above it (indexed).
+//      production defaults, where pick cost is diluted by real work (grants,
+//      queues, controller) across per-core run queues.
 //
 // The `DISPATCH_SCALE ...` line is machine-readable: scripts/check_dispatch_scale.py
 // compares it against the committed BENCH_dispatch_baseline.json in CI and fails on
@@ -33,6 +32,7 @@
 
 #include "bench_util.h"
 #include "exp/scenarios.h"
+#include "harness/invariants.h"
 #include "sched/rbs.h"
 #include "sim/simulator.h"
 #include "task/registry.h"
@@ -44,15 +44,13 @@ namespace {
 
 // One run queue with `total` reserved threads, `runnable` of them dispatchable (the
 // rest blocked), periods cycled so the rate-monotonic index carries many ranks. The
-// index is pinned on (no kAuto ramp in a microbench); the reference side calls
-// PickNextReference on the same run queue.
+// reference side calls ReferenceReservedPick on the same run queue.
 struct PickRig {
   Simulator sim;
   ThreadRegistry threads;
   RbsScheduler rbs;
 
-  PickRig(int total, int runnable)
-      : rbs(sim.cpu(), RbsConfig{.pick_mode = PickMode::kIndexed}) {
+  PickRig(int total, int runnable) : rbs(sim.cpu()) {
     for (int i = 0; i < total; ++i) {
       SimThread* t = threads.Create("t" + std::to_string(i), std::make_unique<CpuHogWork>());
       rbs.AddThread(t);
@@ -66,10 +64,10 @@ struct PickRig {
 };
 
 SimThread* Pick(PickRig& rig, bool indexed, TimePoint now) {
-  return indexed ? rig.rbs.PickNext(now) : rig.rbs.PickNextReference(now);
+  return indexed ? rig.rbs.PickNext(now) : ReferenceReservedPick(rig.rbs);
 }
 
-// Indexed (PickNext) or reference (PickNextReference) picks per wall-second.
+// Indexed (PickNext) or reference (ReferenceReservedPick) picks per wall-second.
 double MeasurePickThroughput(PickRig& rig, bool indexed, int64_t iterations) {
   const TimePoint now = rig.sim.Now();
   const auto start = std::chrono::steady_clock::now();
@@ -130,7 +128,7 @@ void PrintDispatchScale() {
   for (int total : {128, 256, 512, 1024, 2048}) {
     PickRig rig(total, /*runnable=*/32);
     const SimThread* witness = rig.rbs.PickNext(rig.sim.Now());
-    RR_CHECK(witness != nullptr && witness == rig.rbs.PickNextReference(rig.sim.Now()));
+    RR_CHECK(witness != nullptr && witness == ReferenceReservedPick(rig.rbs));
     const double indexed = MeasurePickThroughput(rig, /*indexed=*/true, 2'000'000);
     const double reference = MeasurePickThroughput(rig, /*indexed=*/false, 200'000);
     std::printf("  %8d %18.0f %18.0f %8.2fx\n", total, indexed, reference,
@@ -144,7 +142,7 @@ void PrintDispatchScale() {
 
   bench::PrintHeader(
       "End-to-end: server farm, 1 s virtual time, best of 3 trials\n"
-      "production defaults (kAuto pick), dispatches per wall second");
+      "production defaults, dispatches per wall second");
   std::printf("  %8s %18s\n", "thrxcpu", "dispatch/ws");
   double farm_indexed_1024 = 0.0;
   for (const auto& [threads, cpus] :
@@ -182,9 +180,9 @@ void BM_PickNext(benchmark::State& state) {
   state.counters["threads"] = total;
 }
 void BM_PickNextIndexed(benchmark::State& state) { BM_PickNext<true>(state); }
-void BM_PickNextReference(benchmark::State& state) { BM_PickNext<false>(state); }
+void BM_PickReference(benchmark::State& state) { BM_PickNext<false>(state); }
 BENCHMARK(BM_PickNextIndexed)->Arg(128)->Arg(1024)->Unit(benchmark::kNanosecond);
-BENCHMARK(BM_PickNextReference)->Arg(128)->Arg(1024)->Unit(benchmark::kNanosecond);
+BENCHMARK(BM_PickReference)->Arg(128)->Arg(1024)->Unit(benchmark::kNanosecond);
 
 void BM_FarmIndexed(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));

@@ -37,7 +37,7 @@ def run_bench(build_dir: pathlib.Path, equality_only: bool) -> dict:
     # under ASan/UBSan they are minutes of wall time producing numbers this mode
     # never reads.
     cmd = [str(bench)]
-    cmd += ["--equality-only"] if equality_only else ["--benchmark_min_time=0.01s"]
+    cmd += ["--equality-only"] if equality_only else ["--benchmark_min_time=0.01"]
     out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
     match = re.search(r"^CONTROLLER_SCALE (.*)$", out, re.M)
     if not match:

@@ -29,7 +29,7 @@ def run_bench(build_dir: pathlib.Path) -> dict:
     bench = build_dir / "bench" / "bench_dispatch_scale"
     if not bench.exists():
         sys.exit(f"error: {bench} not found — build bench_dispatch_scale first")
-    out = subprocess.run([str(bench), "--benchmark_min_time=0.01s"],
+    out = subprocess.run([str(bench), "--benchmark_min_time=0.01"],
                          check=True, capture_output=True, text=True).stdout
     match = re.search(r"^DISPATCH_SCALE (.*)$", out, re.M)
     if not match:

@@ -251,9 +251,8 @@ struct ServerFarmParams {
 
   Duration run_for = Duration::Millis(500);
 
-  // Scheduler/machine hot-path knobs, exposed so tests can pin the pick mode, turn
-  // on shadow checks, or switch fast-forward off on the same workload. Defaults are
-  // the production configuration.
+  // Scheduler/machine knobs, exposed so tests and bench rigs can vary them on the
+  // same workload (e.g. fast-forward off). Defaults are the production configuration.
   RbsConfig rbs;
   bool idle_fast_forward = true;
   // Control-plane knobs, exposed so bench_controller_scale (and the golden

@@ -221,10 +221,6 @@ RunOutcome RunWorkload(const WorkloadSpec& spec, const RunOptions& options) {
     config.num_cpus = num_cpus;
     config.cpu.clock_hz = spec.clock_hz * options.clock_multiplier;
     config.rbs.work_conserving = options.rbs_work_conserving;
-    config.rbs.shadow_check = options.rbs_shadow_check;
-    if (options.rbs_force_indexed) {
-      config.rbs.pick_mode = PickMode::kIndexed;
-    }
     config.controller.use_pipeline = options.controller_use_pipeline;
     config.controller.shadow_check = options.controller_shadow_check;
     config.machine.idle_fast_forward = options.machine_idle_fast_forward;
@@ -239,9 +235,7 @@ RunOutcome RunWorkload(const WorkloadSpec& spec, const RunOptions& options) {
     oracle.FinishRun(system.machine(), system.sim().Now());
     FillOutcome(outcome, system.sim(), system.machine(), system.threads(), oracle, spec,
                 options);
-    for (CpuId core = 0; core < system.num_cpus(); ++core) {
-      outcome.shadow_checks += system.rbs(core).shadow_checks();
-    }
+    outcome.reference_pick_checks = oracle.reference_pick_checks();
     outcome.controller_shadow_checks = system.controller().shadow_checks();
     outcome.controller_clean_samples = system.controller().clean_samples();
     return outcome;
@@ -381,8 +375,8 @@ SeedReport CheckSeed(uint64_t seed, const SeedCheckOptions& options) {
   };
 
   // 1. Invariant battery: the spec as generated, under every scheduler. The feedback
-  // run doubles as the shadow pass for both hot paths: every dispatch asserts the
-  // indexed pick equals the reference O(n) scan pick, and every controller tick
+  // run doubles as the shadow pass for both hot paths: the oracle checks every
+  // dispatch's indexed pick against the reference O(n) scan, and every controller tick
   // asserts the pipeline's incremental state (ledger sums, cached pressures,
   // saturation verdicts, evidence counts) equals a fresh reference derivation (a
   // mismatch aborts, which the CTest harness reports against this seed).
@@ -392,7 +386,6 @@ SeedReport CheckSeed(uint64_t seed, const SeedCheckOptions& options) {
   for (const SchedulerKind kind : kAllKinds) {
     RunOptions run;
     run.kind = kind;
-    run.rbs_shadow_check = kind == SchedulerKind::kFeedbackRbs;
     run.controller_shadow_check = kind == SchedulerKind::kFeedbackRbs;
     run.collect_trace_dump = options.collect_trace_dump;
     const RunOutcome outcome = RunWorkload(spec, run);
@@ -421,27 +414,6 @@ SeedReport CheckSeed(uint64_t seed, const SeedCheckOptions& options) {
           std::to_string(ref.trace_hash) + ", dispatches " +
           std::to_string(feedback_dispatches) + " vs " + std::to_string(ref.dispatches) +
           ")");
-    }
-  }
-
-  // 1c. Pick-mode equivalence: kIndexed from the first dispatch vs the kAuto
-  // occupancy switch (the 1b reference run above is a pure kAuto run, already
-  // pinned to the same hash) — activating or never activating the indexed
-  // structures mid-run must be trace-invariant.
-  {
-    RunOptions forced;
-    forced.rbs_force_indexed = true;
-    forced.collect_trace_dump = options.collect_trace_dump;
-    const RunOutcome indexed = RunWorkload(spec, forced);
-    note_violations(indexed, "invariants [forced indexed]");
-    if (indexed.trace_hash != feedback_trace_hash ||
-        indexed.total_progress != feedback_progress ||
-        indexed.dispatches != feedback_dispatches) {
-      report.failures.push_back(
-          "pick-mode equivalence: forced-indexed and auto runs diverged (hash " +
-          std::to_string(feedback_trace_hash) + " vs " + std::to_string(indexed.trace_hash) +
-          ", dispatches " + std::to_string(feedback_dispatches) + " vs " +
-          std::to_string(indexed.dispatches) + ")");
     }
   }
 

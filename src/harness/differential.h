@@ -10,8 +10,10 @@
 //   - seed stability: the same spec on a 1-CPU machine produces the identical trace
 //     hash on every run, under every scheduler;
 //   - mode equivalence: the feedback machine re-run with the controller's reference
-//     sweep and with the RBS pick mode pinned to kIndexed must each reproduce the
-//     production run's trace bit for bit.
+//     sweep must reproduce the production run's trace bit for bit.
+//
+// Every feedback run also pins the RBS pick index to the reference O(n) scan at each
+// dispatch, through the oracle's reference-pick check (harness/invariants.h).
 //
 // CheckSeed() is the unit the realrate_check CLI and the fuzz CTest batch iterate:
 // generate the spec for a seed, run the differential battery, return every failure
@@ -43,10 +45,6 @@ struct RunOptions {
   // core-monotonicity check, whose throughput claim is demand-bound, not
   // allocation-ramp-bound.
   bool rbs_work_conserving = false;
-  // Feedback machine only: shadow-scheduler mode — every dispatch computes both the
-  // indexed pick and the reference O(n) scan pick and asserts they agree (see
-  // RbsConfig::shadow_check).
-  bool rbs_shadow_check = false;
   // Feedback machine only: run the controller's staged Sample→Estimate→Resolve→
   // Actuate pipeline (default, the production configuration) or the monolithic
   // reference sweep (FeedbackAllocator::RunOnceReference). The fuzz battery runs
@@ -61,11 +59,6 @@ struct RunOptions {
   // like the production configuration; the metamorphic battery re-runs with it off
   // and demands a bit-identical trace.
   bool machine_idle_fast_forward = true;
-  // Feedback machine only: pin the RBS pick mode to kIndexed instead of the kAuto
-  // occupancy switch, so the indexed structures run from the first dispatch. The
-  // battery compares this against an auto run — crossing (or never reaching) the
-  // activation threshold must be trace-invariant.
-  bool rbs_force_indexed = false;
   // Fill RunOutcome::trace_dump when the oracle records violations.
   bool collect_trace_dump = false;
   OracleConfig oracle;
@@ -79,10 +72,9 @@ struct RunOutcome {
   Cycles cycles_per_tick = 0;   // One core's dispatch-interval capacity.
   int64_t total_progress = 0;   // Σ progress_units over every thread.
   int64_t dispatches = 0;
-  // Feedback runs only: dispatches that executed the shadow comparison (indexed pick
-  // asserted equal to the reference scan pick), summed over cores. Zero unless
-  // RunOptions::rbs_shadow_check.
-  int64_t shadow_checks = 0;
+  // Feedback runs only: picks (idle decisions included) the oracle compared against
+  // the reference O(n) scans, summed over cores.
+  int64_t reference_pick_checks = 0;
   // Feedback runs only: controller-shadow equalities asserted (zero unless
   // RunOptions::controller_shadow_check) and dirty-set sampler activity.
   int64_t controller_shadow_checks = 0;
@@ -99,7 +91,7 @@ RunOutcome RunWorkload(const WorkloadSpec& spec, const RunOptions& options);
 struct SeedCheckOptions {
   // Disables the metamorphic battery (clock scaling / core monotonicity / seed
   // stability), leaving the four per-scheduler invariant runs and the feedback
-  // machine's mode-equivalence runs (controller reference, forced indexed).
+  // machine's controller-reference equivalence run.
   bool run_metamorphic = true;
   // Attach the first violating run's trace to the report.
   bool collect_trace_dump = true;

@@ -1,5 +1,6 @@
 #include "harness/invariants.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -11,10 +12,50 @@
 
 namespace realrate {
 
+SimThread* ReferenceReservedPick(const RbsScheduler& rbs) {
+  // Strict comparisons break ties by position in the thread vector — admission
+  // order, which the pick index reproduces with its sequence-number tiebreak.
+  const bool edf = rbs.config().order == DispatchOrder::kEarliestDeadlineFirst;
+  SimThread* best = nullptr;
+  int64_t best_key = 0;
+  for (SimThread* t : rbs.threads()) {
+    const ThreadSlabs& slabs = t->slabs();
+    const int32_t s = t->slab_slot();
+    if (slabs.state(s) != ThreadState::kRunnable ||
+        slabs.policy(s) != SchedPolicy::kReservation || slabs.granted_ppt(s) == 0 ||
+        slabs.budget(s) <= 0) {
+      continue;
+    }
+    // Smaller wins: the deadline, or the negated rank (shortest period first).
+    const int64_t key = edf ? slabs.deadline_nanos(s) : -slabs.rm_rank(s);
+    if (best == nullptr || key < best_key) {
+      best = t;
+      best_key = key;
+    }
+  }
+  return best;
+}
+
+bool HasFallbackCandidate(const RbsScheduler& rbs) {
+  const bool work_conserving = rbs.config().work_conserving;
+  return std::any_of(rbs.threads().begin(), rbs.threads().end(), [&](const SimThread* t) {
+    const ThreadSlabs& slabs = t->slabs();
+    const int32_t s = t->slab_slot();
+    const bool reserved =
+        slabs.policy(s) == SchedPolicy::kReservation && slabs.granted_ppt(s) != 0;
+    return slabs.state(s) == ThreadState::kRunnable &&
+           (!reserved || (work_conserving && slabs.budget(s) <= 0));
+  });
+}
+
 InvariantOracle::InvariantOracle(const OracleConfig& config) : config_(config) {}
 
 void InvariantOracle::Observe(Machine& machine, QueueRegistry* queues) {
   queues_ = queues;
+  rbs_.clear();
+  for (CpuId core = 0; core < machine.num_cpus(); ++core) {
+    rbs_.push_back(dynamic_cast<const RbsScheduler*>(&machine.scheduler(core)));
+  }
   // Per-machine progress state starts over; violation counters deliberately
   // accumulate across Observe calls so earlier findings cannot vanish silently.
   last_tick_.assign(static_cast<size_t>(machine.num_cpus()), TimePoint::Origin());
@@ -43,6 +84,13 @@ void InvariantOracle::Report(TimePoint now, std::string message) {
 
 void InvariantOracle::OnPicked(const Machine& /*machine*/, CpuId core,
                                const SimThread* pick, TimePoint now) {
+  const auto c = static_cast<size_t>(core);
+  if (c < rbs_.size() && rbs_[c] != nullptr) {
+    CheckReferencePick(*rbs_[c], core, pick, now);
+  }
+  if (pick == nullptr) {
+    return;  // The core idles; nothing was dispatched.
+  }
   ++picks_observed_;
   if (pick->state() != ThreadState::kRunnable) {
     Report(now, "core " + std::to_string(core) + " dispatched thread " +
@@ -53,6 +101,39 @@ void InvariantOracle::OnPicked(const Machine& /*machine*/, CpuId core,
     Report(now, "core " + std::to_string(core) + " dispatched thread " +
                     std::to_string(pick->id()) + " assigned to core " +
                     std::to_string(pick->cpu()));
+  }
+}
+
+void InvariantOracle::CheckReferencePick(const RbsScheduler& rbs, CpuId core,
+                                         const SimThread* pick, TimePoint now) {
+  ++reference_pick_checks_;
+  const SimThread* reference = ReferenceReservedPick(rbs);
+  if (reference != nullptr) {
+    if (pick != reference) {
+      Report(now, "core " + std::to_string(core) + " picked " +
+                      (pick == nullptr ? std::string("nothing")
+                                       : "thread " + std::to_string(pick->id())) +
+                      " but the reference reserved pick is thread " +
+                      std::to_string(reference->id()));
+    }
+    return;
+  }
+  // No reserved thread can run, so the pick index is empty and runnable_reserved
+  // counts only exhausted reservations: the gate PickNext applies before its
+  // round-robin scan must agree with that scan.
+  const bool gate_open = rbs.runnable_unreserved() > 0 ||
+                         (rbs.config().work_conserving && rbs.runnable_reserved() > 0);
+  const bool candidate = HasFallbackCandidate(rbs);
+  if (gate_open != candidate) {
+    Report(now, "core " + std::to_string(core) + " occupancy counts (unreserved " +
+                    std::to_string(rbs.runnable_unreserved()) + ", reserved " +
+                    std::to_string(rbs.runnable_reserved()) +
+                    ") disagree with the fallback scan");
+  }
+  if ((pick != nullptr) != candidate) {
+    Report(now, "core " + std::to_string(core) +
+                    (candidate ? " idled while the round-robin fallback had a candidate"
+                               : " picked a thread the round-robin fallback cannot run"));
   }
 }
 

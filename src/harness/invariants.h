@@ -7,6 +7,10 @@
 //     and the Machine's rebalancer must jointly maintain this);
 //   - dispatch legality: the scheduler never hands the CPU to a blocked, sleeping, or
 //     exited thread, nor to a thread assigned to a different core;
+//   - reference pick (RbsScheduler cores): every pick, idle decisions included,
+//     equals ReferenceReservedPick whenever that is non-null, and the occupancy
+//     counts that gate the round-robin fallback agree with a fallback scan — the
+//     indexed hot path pinned to the original O(n) scan at every dispatch;
 //   - bounded-buffer occupancy: every registered queue's fill stays in [0, capacity];
 //   - clock monotonicity: per-core tick times and controller iteration times never
 //     move backwards;
@@ -26,6 +30,7 @@
 #include <vector>
 
 #include "sched/machine.h"
+#include "sched/rbs.h"
 #include "util/time.h"
 #include "util/types.h"
 
@@ -33,6 +38,17 @@ namespace realrate {
 
 class QueueRegistry;
 class System;
+
+// The reference implementations the oracle checks RbsScheduler's pick against: the
+// original O(n) scans over the scheduler's thread vector and the slab columns.
+// Side-effect-free — the scheduler's round-robin cursor is untouched.
+//
+// The best reserved thread with budget left — rate-monotonic: highest period rank,
+// EDF: earliest period deadline; ties go to the earlier-admitted thread — or null.
+SimThread* ReferenceReservedPick(const RbsScheduler& rbs);
+// Does the round-robin fallback have a candidate: a runnable thread without a
+// reservation or, when work-conserving, a runnable reserved one whose budget is spent?
+bool HasFallbackCandidate(const RbsScheduler& rbs);
 
 struct InvariantViolation {
   TimePoint t;
@@ -55,7 +71,8 @@ class InvariantOracle : public MachineChecker {
   explicit InvariantOracle(const OracleConfig& config = OracleConfig{});
 
   // Installs the oracle as `machine`'s checker. `queues` (may be null) adds the
-  // occupancy check over every buffer in the registry. The observed machine (and,
+  // occupancy check over every buffer in the registry; cores whose scheduler is an
+  // RbsScheduler get the reference-pick check. The observed machine (and,
   // for Observe(System&), the controller's hook) holds a raw reference to this
   // oracle, so the oracle must outlive it — or at least the simulation must never
   // run again after the oracle is destroyed; declare the oracle before the
@@ -86,6 +103,8 @@ class InvariantOracle : public MachineChecker {
   // Observation counters, so tests can prove the hooks actually fired.
   int64_t ticks_observed() const { return ticks_observed_; }
   int64_t picks_observed() const { return picks_observed_; }
+  // Picks (idle decisions included) compared against the reference scans.
+  int64_t reference_pick_checks() const { return reference_pick_checks_; }
   int64_t controller_runs_observed() const { return controller_runs_observed_; }
 
   // One line per recorded violation (plus a tail count when over max_recorded).
@@ -93,18 +112,22 @@ class InvariantOracle : public MachineChecker {
 
  private:
   void CheckCoreFeasibility(const Machine& machine, CpuId core, TimePoint now);
+  void CheckReferencePick(const RbsScheduler& rbs, CpuId core, const SimThread* pick,
+                          TimePoint now);
   void CheckQueues(TimePoint now);
   void CheckTrace(const Machine& machine, TimePoint now);
   void Report(TimePoint now, std::string message);
 
   OracleConfig config_;
   QueueRegistry* queues_ = nullptr;
+  std::vector<const RbsScheduler*> rbs_;  // Per core; null for other schedulers.
   std::vector<TimePoint> last_tick_;  // Per core; grown on each core's first tick.
   TimePoint last_controller_run_;
   bool controller_ran_ = false;
   size_t trace_checked_ = 0;  // Trace events validated so far.
   int64_t ticks_observed_ = 0;
   int64_t picks_observed_ = 0;
+  int64_t reference_pick_checks_ = 0;
   int64_t controller_runs_observed_ = 0;
   int64_t violation_count_ = 0;
   std::vector<InvariantViolation> violations_;

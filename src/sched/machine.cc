@@ -578,6 +578,9 @@ void Machine::DispatchLoop(Core& core, CpuId core_id, TimePoint now, Cycles cycl
     SimThread* pick = core.scheduler->PickNext(now);
     if (pick == nullptr) {
       cpu.Charge(CpuUse::kIdle, cycles_left);
+      if (checker_ != nullptr) {
+        checker_->OnPicked(*this, core_id, nullptr, now);
+      }
       return;
     }
     core.round_had_pick = true;

@@ -71,7 +71,9 @@ class Machine;
 class MachineChecker {
  public:
   virtual ~MachineChecker() = default;
-  // After `core`'s scheduler picked `pick` (never null) and before `pick` runs.
+  // After `core`'s scheduler picked `pick` and before `pick` runs. A null `pick` is
+  // an idle decision: the core idles out the rest of the tick, whose idle cycles are
+  // already charged.
   virtual void OnPicked(const Machine& machine, CpuId core, const SimThread* pick,
                         TimePoint now) = 0;
   // After `core`'s dispatch tick completed.

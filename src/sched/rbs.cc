@@ -6,13 +6,7 @@
 
 namespace realrate {
 
-RbsScheduler::RbsScheduler(const Cpu& cpu, const RbsConfig& config) : cpu_(cpu), config_(config) {
-  // Shadow mode must exercise the index it validates.
-  if (config_.shadow_check) {
-    config_.pick_mode = PickMode::kIndexed;
-  }
-  indexing_on_ = config_.pick_mode == PickMode::kIndexed;
-}
+RbsScheduler::RbsScheduler(const Cpu& cpu, const RbsConfig& config) : cpu_(cpu), config_(config) {}
 
 RbsScheduler::~RbsScheduler() {
   for (auto& [thread, node] : nodes_) {
@@ -31,9 +25,6 @@ RbsScheduler::Node* RbsScheduler::FindNode(SimThread* thread) {
 }
 
 void RbsScheduler::Reindex(SimThread* thread) {
-  if (!indexing_on_) {
-    return;  // kAuto below its threshold: no index to maintain.
-  }
   Node* node = FindNode(thread);
   if (node == nullptr) {
     return;  // Not scheduled here (e.g. cross-core actuation); nothing to maintain.
@@ -62,21 +53,19 @@ void RbsScheduler::Reindex(SimThread* thread) {
                   ? slabs_->deadline_nanos(slot)
                   : -slabs_->rm_rank(slot);
   }
-  if (node->in_pick_index) {
+  uint64_t& gen = pick_gen_by_slot_[static_cast<size_t>(slot)];
+  if (gen != 0) {
     if (eligible && primary == node->pick_primary) {
       return;  // Membership and key unchanged: the common OnRan case, O(1).
     }
-    node->in_pick_index = false;  // The heap entry is now stale (generation mismatch).
-    pick_gen_by_slot_[static_cast<size_t>(slot)] = 0;
+    gen = 0;  // The heap entry is now stale (generation mismatch).
     --pick_live_;
   }
   if (eligible) {
-    node->pick_gen = next_gen_++;
-    pick_gen_by_slot_[static_cast<size_t>(slot)] = node->pick_gen;
-    pick_index_.push_back(PickKey{primary, node->seq, node->pick_gen, slot, thread});
+    gen = next_gen_++;
+    pick_index_.push_back(PickKey{primary, node->seq, gen, slot, thread});
     std::push_heap(pick_index_.begin(), pick_index_.end(), std::greater<PickKey>{});
     node->pick_primary = primary;
-    node->in_pick_index = true;
     ++pick_live_;
   }
   if (pick_index_.size() > 64 &&
@@ -89,42 +78,6 @@ void RbsScheduler::CompactPickIndex() {
   std::erase_if(pick_index_, [this](const PickKey& key) { return !PickEntryCurrent(key); });
   std::make_heap(pick_index_.begin(), pick_index_.end(), std::greater<PickKey>{});
   RR_CHECK(pick_index_.size() == static_cast<size_t>(pick_live_));
-}
-
-void RbsScheduler::ActivateIndexing() {
-  // Rebuild the pick index and occupancy counts from the thread vector. Reads only;
-  // no thread state changes, so the schedule is unaffected. The counts are zero
-  // here: they are only maintained while indexing is on, and Deactivate (or
-  // construction) zeroed them.
-  indexing_on_ = true;
-  for (SimThread* t : threads_) {
-    Reindex(t);
-  }
-}
-
-void RbsScheduler::DeactivateIndexing() {
-  indexing_on_ = false;
-  pick_index_.clear();
-  pick_live_ = 0;
-  std::fill(pick_gen_by_slot_.begin(), pick_gen_by_slot_.end(), 0);
-  runnable_unreserved_ = 0;
-  runnable_reserved_ = 0;
-  for (auto& [thread, node] : nodes_) {
-    node.in_pick_index = false;
-    node.counted_runnable = false;
-  }
-}
-
-void RbsScheduler::MaybeSwitchIndexing() {
-  if (config_.pick_mode != PickMode::kAuto) {
-    return;
-  }
-  const int n = static_cast<int>(threads_.size());
-  if (!indexing_on_ && n >= config_.auto_index_threshold) {
-    ActivateIndexing();
-  } else if (indexing_on_ && n < config_.auto_index_threshold / 2) {
-    DeactivateIndexing();
-  }
 }
 
 void RbsScheduler::AddThread(SimThread* thread) {
@@ -145,7 +98,6 @@ void RbsScheduler::AddThread(SimThread* thread) {
   node.seq = next_seq_++;
   thread->set_sched_slot(&node);
   Reindex(thread);
-  MaybeSwitchIndexing();
 }
 
 void RbsScheduler::RemoveThread(SimThread* thread) {
@@ -158,9 +110,9 @@ void RbsScheduler::RemoveThread(SimThread* thread) {
   if (node == nullptr) {
     return;
   }
-  if (node->in_pick_index) {
-    node->in_pick_index = false;  // The heap entry dies lazily, by generation.
-    pick_gen_by_slot_[static_cast<size_t>(thread->slab_slot())] = 0;
+  uint64_t& gen = pick_gen_by_slot_[static_cast<size_t>(thread->slab_slot())];
+  if (gen != 0) {
+    gen = 0;  // The heap entry dies lazily, by generation.
     --pick_live_;
   }
   if (node->counted_runnable) {
@@ -168,7 +120,6 @@ void RbsScheduler::RemoveThread(SimThread* thread) {
   }
   thread->set_sched_slot(nullptr);
   nodes_.erase(thread);
-  MaybeSwitchIndexing();
 }
 
 Cycles RbsScheduler::PeriodBudget(const SimThread* thread) const {
@@ -233,36 +184,6 @@ void RbsScheduler::OnWake(SimThread* thread, TimePoint /*now*/) { Reindex(thread
 
 void RbsScheduler::OnBlock(SimThread* thread, TimePoint /*now*/) { Reindex(thread); }
 
-SimThread* RbsScheduler::PickReservedReference() const {
-  // The original O(n) scan, over the slab columns. Reserved threads first.
-  // Rate-monotonic: highest rank (shortest period). EDF: earliest deadline, where a
-  // thread's deadline is the end of its current period. Strict comparisons break
-  // ties by scan position — arrival order — matching the pick index's
-  // sequence-number tiebreak.
-  SimThread* best = nullptr;
-  const size_t n = slots_.size();
-  if (config_.order == DispatchOrder::kEarliestDeadlineFirst) {
-    int64_t best_deadline = TimePoint::Max().nanos();
-    for (size_t i = 0; i < n; ++i) {
-      const int32_t s = slots_[i];
-      if (EligibleAt(s) && slabs_->deadline_nanos(s) < best_deadline) {
-        best = threads_[i];
-        best_deadline = slabs_->deadline_nanos(s);
-      }
-    }
-    return best;
-  }
-  int64_t best_rank = -1;  // Any reserved candidate (rank >= 0) beats "none".
-  for (size_t i = 0; i < n; ++i) {
-    const int32_t s = slots_[i];
-    if (EligibleAt(s) && slabs_->rm_rank(s) > best_rank) {
-      best = threads_[i];
-      best_rank = slabs_->rm_rank(s);
-    }
-  }
-  return best;
-}
-
 SimThread* RbsScheduler::PickReservedIndexed() {
   // Drain lazily deleted entries off the top; each is popped exactly once, so the
   // cost amortizes against the Reindex that staled it. The first current entry is
@@ -283,11 +204,6 @@ SimThread* RbsScheduler::PickReservedIndexed() {
   return nullptr;
 }
 
-bool RbsScheduler::HasFallbackCandidate() const {
-  return std::any_of(slots_.begin(), slots_.end(),
-                     [this](int32_t s) { return FallbackCandidateAt(s); });
-}
-
 SimThread* RbsScheduler::PickFallbackRoundRobin() {
   // No reserved thread can run: round-robin over the remaining runnables (non-reserved
   // threads, plus exhausted reserved threads when work-conserving). Verbatim from the
@@ -305,42 +221,18 @@ SimThread* RbsScheduler::PickFallbackRoundRobin() {
 }
 
 SimThread* RbsScheduler::PickNext(TimePoint /*now*/) {
-  SimThread* pick = nullptr;
-  if (indexing_on_) {
-    pick = PickReservedIndexed();
-    if (config_.shadow_check) {
-      // Shadow-scheduler mode: the reference scan runs alongside (side-effect-free)
-      // and must agree with the index at every dispatch.
-      RR_CHECK(pick == PickReservedReference());
-      ++shadow_checks_;
-    }
-  } else {
-    pick = PickReservedReference();
-  }
+  SimThread* pick = PickReservedIndexed();
   if (pick != nullptr) {
     return pick;
   }
-  if (indexing_on_) {
-    // Secondary (occupancy) index: skip the positional fallback scan outright when no
-    // round-robin candidate exists — the common case in a farm of blocked threads.
-    // Reserved threads with budget are all in the (empty, or we would not be here)
-    // pick index, so runnable_reserved_ now counts only exhausted ones.
-    const bool have_unreserved = runnable_unreserved_ > 0;
-    const bool have_exhausted = config_.work_conserving && runnable_reserved_ > 0;
-    if (config_.shadow_check) {
-      RR_CHECK((have_unreserved || have_exhausted) == HasFallbackCandidate());
-    }
-    if (!have_unreserved && !have_exhausted) {
-      return nullptr;
-    }
-  }
-  return PickFallbackRoundRobin();
-}
-
-SimThread* RbsScheduler::PickNextReference(TimePoint /*now*/) {
-  SimThread* pick = PickReservedReference();
-  if (pick != nullptr) {
-    return pick;
+  // Secondary (occupancy) index: skip the positional fallback scan outright when no
+  // round-robin candidate exists — the common case in a farm of blocked threads.
+  // Reserved threads with budget are all in the (empty, or we would not be here)
+  // pick index, so runnable_reserved_ now counts only exhausted ones.
+  const bool have_unreserved = runnable_unreserved_ > 0;
+  const bool have_exhausted = config_.work_conserving && runnable_reserved_ > 0;
+  if (!have_unreserved && !have_exhausted) {
+    return nullptr;
   }
   return PickFallbackRoundRobin();
 }

@@ -24,17 +24,9 @@
 //     summarized by a secondary occupancy index — runnable counts that let PickNext
 //     skip the round-robin fallback scan entirely in the common all-blocked case; the
 //     scan itself is kept verbatim because its cursor semantics are positional.
-// The original O(n) scan survives as PickNextReference(); RbsConfig::shadow_check
-// makes every PickNext assert indexed pick == reference pick (the shadow-scheduler
-// mode the fuzz harness runs).
-//
-// Pick modes (RbsConfig::pick_mode): the index wins big at high occupancy but its
-// maintenance (Reindex on every state/budget mutation) is pure overhead at a handful
-// of threads per core, where the O(n) column scan fits in a few cachelines. kAuto
-// therefore runs maintenance-off below auto_index_threshold enqueued threads and
-// switches the index on (rebuilding it from the thread vector, O(n log n) once) when
-// the run queue grows past it, with 2x hysteresis on the way down. Both modes produce
-// bit-identical schedules, so switching is trace-invariant.
+// The O(n) rank/deadline scan the index must reproduce is a test oracle, not a pick
+// path: harness/invariants.h's ReferenceReservedPick, which InvariantOracle compares
+// against every pick (and the occupancy gate against a fallback scan).
 #ifndef REALRATE_SCHED_RBS_H_
 #define REALRATE_SCHED_RBS_H_
 
@@ -60,33 +52,12 @@ enum class DispatchOrder : uint8_t {
   kEarliestDeadlineFirst,
 };
 
-// How PickNext finds the best reserved thread (see the header comment).
-enum class PickMode : uint8_t {
-  kAuto,     // Reference scan below auto_index_threshold, indexed above.
-  kIndexed,  // Always maintain and use the indexed run queues.
-};
-
 struct RbsConfig {
   // If true, threads with exhausted budgets may still run when the CPU would otherwise
   // idle (background mode). The paper's prototype is non-work-conserving: exhausted
   // threads sleep until their next period. Default matches the paper.
   bool work_conserving = false;
   DispatchOrder order = DispatchOrder::kRateMonotonic;
-  // Reference vs indexed selection. kAuto is the production default: per-core
-  // occupancy decides. Behavior (schedule, trace) is identical in every mode.
-  PickMode pick_mode = PickMode::kAuto;
-  // kAuto's switch-on point: enqueued-thread count at which this core's scheduler
-  // starts maintaining the indexed run queues. Tuned on bench_dispatch_scale so the
-  // farm e2e never loses to the reference scan at low density and keeps the indexed
-  // win at high density (crossover sits between 64 and 128 threads/core). Indexing
-  // switches back off below half this (hysteresis against add/remove flapping).
-  int auto_index_threshold = 96;
-  // Shadow-scheduler mode: every PickNext computes both the indexed pick and the
-  // reference scan pick and asserts they are identical. Used by the fuzz harness
-  // (RunOptions::rbs_shadow_check) to pin the indexed structures to the original
-  // semantics across generated workloads. Runs kAuto as kIndexed, so the index it
-  // validates is always live.
-  bool shadow_check = false;
 };
 
 // One element of a per-core actuation batch (ApplyReservations): the reservation a
@@ -117,13 +88,6 @@ class RbsScheduler : public Scheduler {
   void OnWake(SimThread* thread, TimePoint now) override;
   void OnBlock(SimThread* thread, TimePoint now) override;
 
-  // The original O(n) rank/deadline scan (over the slab columns), the reference
-  // implementation the indexed pick is validated against (shadow_check), the path
-  // kAuto runs below its threshold, and the baseline bench_dispatch_scale measures.
-  // Shares the round-robin cursor with PickNext, so within one run use either entry
-  // point per dispatch, not both.
-  SimThread* PickNextReference(TimePoint now);
-
   // Actuation entry point used by the controller: sets proportion/period and restarts
   // the thread's period from `now` with a fresh budget. "Very low overhead to change
   // proportion and period" — O(1) (plus O(log n) index maintenance).
@@ -148,31 +112,28 @@ class RbsScheduler : public Scheduler {
   using DeadlineMissFn = std::function<void(SimThread*, Cycles shortfall, TimePoint)>;
   void SetDeadlineMissFn(DeadlineMissFn fn) { miss_fn_ = std::move(fn); }
 
+  const RbsConfig& config() const { return config_; }
   const std::vector<SimThread*>& threads() const { return threads_; }
-  // Shadow-mode observability: picks that ran both implementations and agreed.
-  int64_t shadow_checks() const { return shadow_checks_; }
-  // Pick-mode observability: is the indexed hot path being maintained right now?
-  // Constant under kIndexed; under kAuto it tracks the occupancy threshold.
-  bool indexing_active() const { return indexing_on_; }
+  // The occupancy index (see runnable_unreserved_), read by the invariant oracle.
+  int64_t runnable_unreserved() const { return runnable_unreserved_; }
+  int64_t runnable_reserved() const { return runnable_reserved_; }
 
  private:
   // Per-thread bookkeeping owned by this scheduler (not the thread): the admission
   // sequence number that reproduces the reference scan's tie order and the
-  // pick-index membership/key snapshot.
+  // pick-index key snapshot (membership is pick_gen_by_slot_).
   struct Node {
     RbsScheduler* owner = nullptr;  // Guards the SimThread::sched_slot cache.
     uint64_t seq = 0;
-    bool in_pick_index = false;
     int64_t pick_primary = 0;       // Key snapshot while in the pick index.
-    uint64_t pick_gen = 0;          // Generation of the current pick-heap entry.
     bool counted_runnable = false;  // Contributes to the occupancy counts below.
     bool counted_reserved = false;  // Which count it contributes to.
   };
 
   // Pick-index element. Ordering is (rank desc | deadline asc, seq asc): the heap
   // minimum is exactly the thread the reference scan would return. Entries are
-  // lazily deleted — `gen` matches Node::pick_gen only while the entry is current;
-  // eligibility changes just bump the node's generation (O(1)) and the dead entry
+  // lazily deleted — `gen` matches pick_gen_by_slot_ only while the entry is current;
+  // eligibility changes just bump the slot's generation (O(1)) and the dead entry
   // is discarded when it surfaces at the heap top.
   struct PickKey {
     int64_t primary = 0;  // -rm_rank, or the EDF deadline in nanos.
@@ -196,34 +157,19 @@ class RbsScheduler : public Scheduler {
   // current state. Idempotent; every mutation hook funnels through it.
   void Reindex(SimThread* thread);
   Node* FindNode(SimThread* thread);
-  // Column predicates of the reference scan for the thread in slab slot `s`: holds
-  // a nonzero reservation / may be dispatched by the reserved pick / may be
-  // dispatched by the round-robin fallback.
+  // Column predicates for the thread in slab slot `s`: holds a nonzero reservation /
+  // may be dispatched by the round-robin fallback.
   bool ReservedAt(int32_t s) const {
     return slabs_->policy(s) == SchedPolicy::kReservation && slabs_->granted_ppt(s) != 0;
-  }
-  bool EligibleAt(int32_t s) const {
-    return slabs_->state(s) == ThreadState::kRunnable && ReservedAt(s) && slabs_->budget(s) > 0;
   }
   bool FallbackCandidateAt(int32_t s) const {
     return slabs_->state(s) == ThreadState::kRunnable &&
            (!ReservedAt(s) || (config_.work_conserving && slabs_->budget(s) <= 0));
   }
-  // The two halves of the reference scan, side-effect-free and cursor-mutating
-  // respectively; PickNext composes the indexed (or reference) reserved pick with the
-  // shared fallback.
-  SimThread* PickReservedReference() const;
+  // PickNext's two halves: the indexed reserved pick, and the cursor-mutating
+  // round-robin fallback.
   SimThread* PickReservedIndexed();
   SimThread* PickFallbackRoundRobin();
-  // Side-effect-free: would the round-robin fallback scan find a candidate? Used by
-  // shadow mode to validate the occupancy counts that gate the scan.
-  bool HasFallbackCandidate() const;
-  // kAuto transitions. Activation rebuilds the pick index and occupancy counts from
-  // the thread vector; deactivation tears them down. Neither changes any thread's
-  // state, so the schedule is unaffected.
-  void ActivateIndexing();
-  void DeactivateIndexing();
-  void MaybeSwitchIndexing();
   // Rebuilds pick_index_ without its stale entries when they outnumber live ones
   // 4:1, so lazy deletion cannot grow the heap unboundedly. Amortized O(1) per
   // logical erase.
@@ -243,7 +189,6 @@ class RbsScheduler : public Scheduler {
   const ThreadSlabs* slabs_ = nullptr;
   DeadlineMissFn miss_fn_;
   size_t rr_cursor_ = 0;  // Round-robin position among non-reserved threads.
-  bool indexing_on_ = false;  // Maintain/use the indexed structures right now?
 
   // --- Indexed hot-path state ---
   std::unordered_map<SimThread*, Node> nodes_;
@@ -254,10 +199,10 @@ class RbsScheduler : public Scheduler {
   // the current (non-stale) entries; CompactPickIndex() bounds the garbage.
   std::vector<PickKey> pick_index_;
   int64_t pick_live_ = 0;
-  // Current pick generation per slab slot (0 = not in the index): lets the heap's
-  // stale-entry test read one dense word instead of chasing the (cold) thread
-  // record's sched_slot on every pick. Sized by AddThread to cover every enqueued
-  // thread's slot.
+  // Current pick generation per slab slot (0 = not in the index; generations start
+  // at 1): the one record of pick-index membership. Lets the heap's stale-entry test
+  // read one dense word instead of chasing the (cold) thread record's sched_slot on
+  // every pick. Sized by AddThread to cover every enqueued thread's slot.
   std::vector<uint64_t> pick_gen_by_slot_;
   // Secondary occupancy index for the round-robin fallback: how many runnable
   // threads are non-reserved, and how many are reserved at all. Runnable reserved
@@ -267,7 +212,6 @@ class RbsScheduler : public Scheduler {
   int64_t runnable_reserved_ = 0;
   uint64_t next_seq_ = 1;
   uint64_t next_gen_ = 1;
-  int64_t shadow_checks_ = 0;
 };
 
 }  // namespace realrate

@@ -72,19 +72,12 @@ TEST(GoldenTraceTest, ServerFarmFourCpuScheduleIsPinned) {
 }
 
 TEST(GoldenTraceTest, ServerFarmHotPathModesAreTraceEquivalent) {
-  // The tentpole guarantee, pinned at scenario level: shadow mode (indexed pick
-  // asserted equal to the reference scan, and the pick's slab columns to its object
-  // fields, at every dispatch) and idle fast-forward on vs off schedule the farm
-  // bit-identically.
+  // Idle fast-forward on vs off schedules the farm bit-identically. (The indexed
+  // pick is pinned to the reference scan at every dispatch by the invariant oracle,
+  // across the fuzz battery's farm seeds.)
   ServerFarmParams params = FarmPinParams(4);
   params.run_for = Duration::Millis(120);
   const ServerFarmResult indexed = RunServerFarmScenario(params);
-
-  ServerFarmParams shadow = params;
-  shadow.rbs.shadow_check = true;
-  const ServerFarmResult checked = RunServerFarmScenario(shadow);
-  EXPECT_EQ(indexed.trace_hash, checked.trace_hash);
-  EXPECT_EQ(indexed.total_dispatches, checked.total_dispatches);
 
   ServerFarmParams no_ff = params;
   no_ff.idle_fast_forward = false;

@@ -131,20 +131,127 @@ TEST(InvariantOracleTest, CleanOnHealthySystemAndAllHooksFire) {
 }
 
 TEST(InvariantOracleTest, ObserverDoesNotPerturbTheSchedule) {
-  auto run = [](bool with_oracle) {
+  // The oracle, reference-pick check included, rides every run of the fuzz battery,
+  // so it must be a pure observer: reserved, real-rate and best-effort threads on two
+  // cores schedule identically with and without it.
+  int64_t checks = 0;
+  auto run = [&checks](bool with_oracle) {
     InvariantOracle oracle;  // Outlives the system it observes.
-    System system;
+    SystemConfig config;
+    config.num_cpus = 2;
+    System system(config);
     system.sim().trace().SetEnabled(true);
     if (with_oracle) {
       oracle.Observe(system);
     }
-    SimThread* hog = system.Spawn("hog", std::make_unique<CpuHogWork>());
-    system.controller().AddMiscellaneous(hog);
+    BoundedBuffer* q = system.CreateQueue("q", 1'000);
+    SimThread* producer = system.Spawn(
+        "producer", std::make_unique<ProducerWork>(q, 100'000, RateSchedule(100.0)));
+    SimThread* consumer = system.Spawn("consumer", std::make_unique<ConsumerWork>(q, 1'000));
+    system.queues().Register(q, producer->id(), QueueRole::kProducer);
+    system.queues().Register(q, consumer->id(), QueueRole::kConsumer);
+    EXPECT_TRUE(system.controller().AddRealTime(producer, Proportion::Ppt(100),
+                                                Duration::Millis(10)));
+    system.controller().AddRealRate(consumer);
+    for (int i = 0; i < 3; ++i) {
+      SimThread* hog = system.Spawn("hog" + std::to_string(i), std::make_unique<CpuHogWork>());
+      system.controller().AddMiscellaneous(hog);
+    }
     system.Start();
     system.RunFor(Duration::Millis(300));
+    EXPECT_TRUE(oracle.ok()) << oracle.Summary();
+    checks += oracle.reference_pick_checks();
     return system.sim().trace().Hash();
   };
   EXPECT_EQ(run(false), run(true));
+  EXPECT_GT(checks, 0);
+}
+
+// RbsScheduler mutants the reference-pick check must catch. Each wraps the real pick
+// and bends it in one way the indexed hot path could go wrong.
+bool Eligible(const SimThread* t) {
+  return t->IsRunnable() && t->policy() == SchedPolicy::kReservation &&
+         !t->proportion().IsZero() && t->budget_remaining() > 0;
+}
+
+// Dispatches a lower-ranked (longer-period) eligible thread over the best one.
+class LowerRankMutant : public RbsScheduler {
+ public:
+  using RbsScheduler::RbsScheduler;
+  SimThread* PickNext(TimePoint now) override {
+    SimThread* best = RbsScheduler::PickNext(now);
+    for (SimThread* t : threads()) {
+      if (best != nullptr && t != best && Eligible(t) && t->period() > best->period()) {
+        return t;
+      }
+    }
+    return best;
+  }
+};
+
+// Idles while a reserved thread with budget left waits.
+class IdlingMutant : public RbsScheduler {
+ public:
+  using RbsScheduler::RbsScheduler;
+  SimThread* PickNext(TimePoint now) override {
+    SimThread* pick = RbsScheduler::PickNext(now);
+    return pick != nullptr && Eligible(pick) ? nullptr : pick;
+  }
+};
+
+// Never runs the round-robin fallback: idles while a best-effort thread waits.
+class ClosedGateMutant : public RbsScheduler {
+ public:
+  using RbsScheduler::RbsScheduler;
+  SimThread* PickNext(TimePoint now) override {
+    SimThread* pick = RbsScheduler::PickNext(now);
+    return pick != nullptr && Eligible(pick) ? pick : nullptr;
+  }
+};
+
+// Runs two reserved hogs (10 ms and 20 ms periods) and one best-effort hog on a
+// `Sched` with the oracle attached; returns the violations it recorded, each of
+// which must mention `expected`.
+template <class Sched>
+int64_t ReferencePickViolations(const std::string& expected) {
+  InvariantOracle oracle;  // Outlives the machine it observes.
+  Simulator sim;
+  ThreadRegistry threads;
+  Sched rbs{sim.cpu()};
+  Machine machine(sim, rbs, threads);
+  oracle.Observe(machine, /*queues=*/nullptr);
+  SimThread* fast = threads.Create("fast", std::make_unique<CpuHogWork>());
+  SimThread* slow = threads.Create("slow", std::make_unique<CpuHogWork>());
+  SimThread* best_effort = threads.Create("best_effort", std::make_unique<CpuHogWork>());
+  machine.Attach(fast);
+  machine.Attach(slow);
+  machine.Attach(best_effort);
+  rbs.SetReservation(fast, Proportion::Ppt(200), Duration::Millis(10), sim.Now());
+  rbs.SetReservation(slow, Proportion::Ppt(200), Duration::Millis(20), sim.Now());
+  machine.Start();
+  sim.RunFor(Duration::Millis(50));
+  EXPECT_GT(oracle.reference_pick_checks(), 0);
+  for (const InvariantViolation& v : oracle.violations()) {
+    EXPECT_NE(v.message.find(expected), std::string::npos) << v.message;
+  }
+  return oracle.violation_count();
+}
+
+TEST(InvariantOracleTest, CatchesPickOfALowerRankedThread) {
+  EXPECT_GT(ReferencePickViolations<LowerRankMutant>("reference reserved pick"), 0);
+}
+
+TEST(InvariantOracleTest, CatchesIdlingWhileAnEligibleThreadWaits) {
+  EXPECT_GT(ReferencePickViolations<IdlingMutant>("reference reserved pick"), 0);
+}
+
+TEST(InvariantOracleTest, CatchesIdlingWhileABestEffortThreadWaits) {
+  EXPECT_GT(ReferencePickViolations<ClosedGateMutant>("fallback had a candidate"), 0);
+}
+
+TEST(InvariantOracleTest, HealthyRbsRigRecordsNoReferencePickViolation) {
+  // The control for the mutants: the same rig on the real scheduler is clean.
+  EXPECT_EQ(ReferencePickViolations<RbsScheduler>(""), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -380,37 +487,23 @@ TEST(DifferentialRunnerTest, LotteryDrawsFromTheInjectedSeedOnly) {
   EXPECT_NE(hash_a, hash_b);
 }
 
-TEST(DifferentialRunnerTest, ShadowSchedulerAgreesOnOneHundredSeeds) {
-  // The shadow-scheduler pin for the indexed dispatch hot path: across 100 generated
-  // workloads (including the high-thread-count farm buckets), every RBS dispatch
-  // computes both the indexed pick and the reference O(n) scan pick and asserts they
-  // are identical — a mismatch aborts the process. The counters prove the shadow
-  // comparison actually ran, and ran on every core.
+TEST(DifferentialRunnerTest, ReferencePickAgreesOnOneHundredSeeds) {
+  // The pin for the indexed dispatch hot path: across 100 generated workloads
+  // (including the high-thread-count farm buckets), the oracle compares every RBS
+  // pick, idle decisions included, against the reference O(n) scans and records a
+  // violation on any disagreement. The counters prove the comparison actually ran.
   int64_t total_checks = 0;
   for (uint64_t seed = 1; seed <= 100; ++seed) {
     const WorkloadSpec spec = GenerateWorkload(seed);
     RunOptions options;
     options.kind = SchedulerKind::kFeedbackRbs;
-    options.rbs_shadow_check = true;
     options.run_for_override = Duration::Millis(120);
     const RunOutcome outcome = RunWorkload(spec, options);
-    EXPECT_GT(outcome.shadow_checks, 0) << "seed " << seed;
+    EXPECT_GT(outcome.reference_pick_checks, 0) << "seed " << seed;
     EXPECT_EQ(outcome.violation_count, 0) << "seed " << seed;
-    total_checks += outcome.shadow_checks;
+    total_checks += outcome.reference_pick_checks;
   }
   EXPECT_GT(total_checks, 10'000);  // The pin has teeth: tens of thousands of picks.
-}
-
-TEST(DifferentialRunnerTest, ShadowModeDoesNotPerturbTheSchedule) {
-  // shadow_check must be a pure observer: the same spec with and without it produces
-  // the identical trace (it shares the run with the invariant battery, so any
-  // perturbation would silently weaken both).
-  const WorkloadSpec spec = GenerateWorkload(321);
-  RunOptions plain;
-  plain.run_for_override = Duration::Millis(200);
-  RunOptions shadowed = plain;
-  shadowed.rbs_shadow_check = true;
-  EXPECT_EQ(RunWorkload(spec, plain).trace_hash, RunWorkload(spec, shadowed).trace_hash);
 }
 
 TEST(DifferentialRunnerTest, CheckSeedPassesOnHealthySeeds) {

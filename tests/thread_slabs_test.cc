@@ -1,7 +1,7 @@
 // Hot-field slabs and thread arena (task/thread_slabs.h): a new thread's column
 // defaults, setters writing the columns, the period phase kept across reservation
 // changes, the registry's slot-ordered thread list, migration slot stability,
-// scheduler removal mid-run, kAuto index activation, the registry's slabs-only
+// scheduler removal mid-run, the registry's slabs-only
 // guard, and the trace recorder's hash-only mode the farm scenarios lean on.
 #include <memory>
 #include <string>
@@ -164,9 +164,7 @@ TEST(ThreadSlabsTest, SchedulerRemoveMidRunKeepsSlabBindingAndReindexes) {
   // must not return the removed thread.
   Simulator sim;
   ThreadRegistry threads;
-  RbsConfig config;
-  config.pick_mode = PickMode::kIndexed;
-  RbsScheduler rbs(sim.cpu(), config);
+  RbsScheduler rbs(sim.cpu());
   std::vector<SimThread*> all;
   for (int i = 0; i < 8; ++i) {
     SimThread* t = threads.Create("t" + std::to_string(i), std::make_unique<CpuHogWork>());
@@ -183,36 +181,6 @@ TEST(ThreadSlabsTest, SchedulerRemoveMidRunKeepsSlabBindingAndReindexes) {
     ASSERT_NE(pick, nullptr);
     EXPECT_NE(pick, victim);
   }
-}
-
-TEST(ThreadSlabsTest, AutoPickModeActivatesAndDeactivatesWithHysteresis) {
-  Simulator sim;
-  ThreadRegistry threads;
-  RbsConfig config;
-  config.pick_mode = PickMode::kAuto;
-  config.auto_index_threshold = 16;
-  RbsScheduler rbs(sim.cpu(), config);
-  std::vector<SimThread*> all;
-  for (int i = 0; i < 15; ++i) {
-    SimThread* t = threads.Create("t" + std::to_string(i), std::make_unique<CpuHogWork>());
-    rbs.AddThread(t);
-    all.push_back(t);
-  }
-  EXPECT_FALSE(rbs.indexing_active());  // Below threshold: reference scan.
-  SimThread* extra = threads.Create("extra", std::make_unique<CpuHogWork>());
-  rbs.AddThread(extra);
-  all.push_back(extra);
-  EXPECT_TRUE(rbs.indexing_active());  // Crossed the threshold.
-
-  // Hysteresis: stays on until the population falls below threshold / 2.
-  while (all.size() > 8) {
-    rbs.RemoveThread(all.back());
-    all.pop_back();
-  }
-  EXPECT_TRUE(rbs.indexing_active());
-  rbs.RemoveThread(all.back());
-  all.pop_back();
-  EXPECT_FALSE(rbs.indexing_active());
 }
 
 TEST(ThreadSlabsTest, TraceHashOnlyModeFoldsTheIdenticalHash) {
