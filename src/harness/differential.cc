@@ -33,10 +33,10 @@ struct WorkloadRuntime {
 };
 
 // Instantiates the spec's queues and threads into an already-built machine. When
-// `controller` is non-null (the RBS+feedback rig) every thread is also registered
-// with the controller under its paper taxonomy class; admission rejections are
-// tolerated (the thread then runs unreserved), which can only happen in metamorphic
-// variants that force fewer cores than the spec was generated for.
+// `controller` is non-null (the RBS+feedback rig) every thread but a best-effort hog
+// is also registered with the controller under its paper taxonomy class; admission
+// rejections are tolerated (the thread then runs unreserved), which can only happen
+// in metamorphic variants that force fewer cores than the spec was generated for.
 void BuildWorkload(const WorkloadSpec& spec, ThreadRegistry& threads, QueueRegistry& queues,
                    Machine& machine, FeedbackAllocator* controller,
                    WorkloadRuntime& runtime) {
@@ -114,7 +114,7 @@ void BuildWorkload(const WorkloadSpec& spec, ThreadRegistry& threads, QueueRegis
     hog->set_priority(h.priority);
     hog->set_tickets(h.tickets);
     machine.Attach(hog);
-    if (controller != nullptr) {
+    if (controller != nullptr && !h.best_effort) {
       controller->AddMiscellaneous(hog);
     }
   }

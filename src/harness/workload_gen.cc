@@ -382,6 +382,18 @@ WorkloadSpec GenerateWorkload(uint64_t seed) {
     // Never generate an empty machine; a lone hog still exercises dispatch/squish.
     spec.hogs.push_back({1'000, 1.0, 5, 100});
   }
+
+  // About one default-bucket seed in four adds a best-effort hog, so the RBS
+  // round-robin fallback and its occupancy gate see a runnable unreserved thread.
+  // Drawn last, so the rest of the spec is the same with or without it.
+  if (rng.NextBool(0.25)) {
+    HogSpec h;
+    h.cycles_per_key = 500 + static_cast<Cycles>(rng.NextBounded(4'500));
+    h.priority = 1 + static_cast<int>(rng.NextBounded(10));
+    h.tickets = 10 + static_cast<int64_t>(rng.NextBounded(390));
+    h.best_effort = true;
+    spec.hogs.push_back(h);
+  }
   return spec;
 }
 
@@ -425,9 +437,9 @@ std::string WorkloadSpec::ToString() const {
   for (size_t i = 0; i < hogs.size(); ++i) {
     const HogSpec& h = hogs[i];
     std::snprintf(line, sizeof(line),
-                  "  hog[%zu]: %lldcyc/key importance=%.2f prio=%d tickets=%lld\n", i,
+                  "  hog[%zu]: %lldcyc/key importance=%.2f prio=%d tickets=%lld%s\n", i,
                   static_cast<long long>(h.cycles_per_key), h.importance, h.priority,
-                  static_cast<long long>(h.tickets));
+                  static_cast<long long>(h.tickets), h.best_effort ? " best-effort" : "");
     out += line;
   }
   for (size_t i = 0; i < reservations.size(); ++i) {

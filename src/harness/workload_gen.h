@@ -59,12 +59,15 @@ struct PipelineSpec {
 };
 
 // A miscellaneous CPU hog (never blocks; squished by the feedback controller,
-// prioritized/ticketed under the baselines).
+// prioritized/ticketed under the baselines). A best-effort hog is never registered
+// with the controller, so under RBS it has no reservation and runs only in the
+// round-robin fallback, on cycles no reserved thread can use.
 struct HogSpec {
   Cycles cycles_per_key = 0;
   double importance = 1.0;
   int priority = 0;
   int64_t tickets = 0;
+  bool best_effort = false;
 };
 
 // A periodic real-time reservation around a CPU-bound body: under RBS+feedback this

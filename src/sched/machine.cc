@@ -35,8 +35,7 @@ void Machine::Start() {
   started_ = true;
   accounted_through_ = sim_.Now();
   for (CpuId c = 0; c < num_cpus(); ++c) {
-    CoreAt(c).next_tick_event =
-        sim_.ScheduleAfter(config_.dispatch_interval, [this, c] { Tick(c); });
+    ArmTick(c, sim_.Now() + config_.dispatch_interval);
   }
   if (num_cpus() > 1 && config_.rebalance_interval.IsPositive()) {
     sim_.ScheduleAfter(config_.rebalance_interval, [this] { Rebalance(); });
@@ -374,13 +373,20 @@ void Machine::Tick(CpuId core_id) {
     checker_->OnTickComplete(*this, core_id, now);
   }
   // The last core of the round decides whether the machine goes idle; everyone else
-  // re-arms its clock (the suspension path cancels those if the round does suspend).
+  // re-arms its clock (if the round does suspend, the epoch bump retires those).
   if (core_id == num_cpus() - 1 && ShouldSuspend()) {
     Suspend();
     return;
   }
-  core.next_tick_event =
-      sim_.ScheduleAfter(config_.dispatch_interval, [this, core_id] { Tick(core_id); });
+  ArmTick(core_id, now + config_.dispatch_interval);
+}
+
+void Machine::ArmTick(CpuId core, TimePoint at) {
+  sim_.ScheduleAt(at, [this, core, epoch = clock_epoch_] {
+    if (epoch == clock_epoch_) {
+      Tick(core);
+    }
+  });
 }
 
 bool Machine::ShouldSuspend() const {
@@ -404,12 +410,7 @@ bool Machine::ShouldSuspend() const {
 void Machine::Suspend() {
   suspended_ = true;
   ++idle_suspensions_;
-  for (Core& core : cores_) {
-    if (core.next_tick_event != kInvalidEventId) {
-      sim_.Cancel(core.next_tick_event);  // Bounded: Cancel rejects non-pending ids.
-      core.next_tick_event = kInvalidEventId;
-    }
-  }
+  ++clock_epoch_;
   ArmHorizon();
 }
 
@@ -459,9 +460,10 @@ void Machine::ArmHorizon() {
   // serviced at the next one, exactly as on an eagerly ticking machine.
   const int64_t ticks_ahead = std::max<int64_t>(1, (after + interval - 1) / interval);
   const TimePoint horizon = accounted_through_ + config_.dispatch_interval * ticks_ahead;
-  horizon_event_ = sim_.Resched(horizon_event_, horizon, [this] {
-    horizon_event_ = kInvalidEventId;
-    ResumeTicking();
+  sim_.ScheduleAt(horizon, [this, epoch = clock_epoch_] {
+    if (epoch == clock_epoch_) {
+      ResumeTicking();
+    }
   });
 }
 
@@ -544,10 +546,7 @@ void Machine::ResumeTicking() {
     return;
   }
   suspended_ = false;
-  if (horizon_event_ != kInvalidEventId) {
-    sim_.Cancel(horizon_event_);
-    horizon_event_ = kInvalidEventId;
-  }
+  ++clock_epoch_;
   // Ticks strictly before now already "happened" (they were idle by construction);
   // the clocks restart at the next grid point — which is `now` itself when the
   // trigger lands exactly on the grid, matching a tick event that would have been
@@ -555,7 +554,7 @@ void Machine::ResumeTicking() {
   AccountSkippedTicks(sim_.Now(), /*inclusive=*/false);
   const TimePoint first_tick = accounted_through_ + config_.dispatch_interval;
   for (CpuId c = 0; c < num_cpus(); ++c) {
-    CoreAt(c).next_tick_event = sim_.ScheduleAt(first_tick, [this, c] { Tick(c); });
+    ArmTick(c, first_tick);
   }
 }
 

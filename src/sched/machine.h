@@ -210,6 +210,7 @@ class Machine {
   int64_t dispatches_on(CpuId core) const { return CoreAt(core).dispatches; }
   int64_t context_switches_on(CpuId core) const { return CoreAt(core).context_switches; }
   int64_t ticks() const { return CoreAt(0).ticks; }
+  int64_t ticks_on(CpuId core) const { return CoreAt(core).ticks; }
   Cycles cycles_per_tick() const { return cycles_per_tick_; }
   // Observability for the fast-forward machinery: how many dispatch-clock
   // suspensions have begun, and whether one is in effect right now.
@@ -244,7 +245,6 @@ class Machine {
     int64_t dispatches = 0;
     int64_t context_switches = 0;
     int64_t ticks = 0;
-    EventId next_tick_event = kInvalidEventId;  // Pending Tick callback, if any.
     bool round_had_pick = false;  // Did this core dispatch anything this tick round?
   };
 
@@ -258,6 +258,9 @@ class Machine {
   }
 
   void Tick(CpuId core);
+  // Schedules `core`'s Tick at `at`, stamped with the current clock epoch; the
+  // callback does nothing if the epoch has moved on by then.
+  void ArmTick(CpuId core, TimePoint at);
   void WakeExpiredSleepers(TimePoint now);
   // Files a sleeper into the timing wheel (short sleeps, the common case) or the
   // far heap (wakes beyond the wheel window).
@@ -273,11 +276,12 @@ class Machine {
   // True when the whole machine is provably idle going forward: no runnable thread
   // on any core and no overhead backlog to absorb.
   bool ShouldSuspend() const;
-  // Stops the per-tick clocks (cancelling already-scheduled ticks) and arms the
-  // sleeper-horizon event. Called at the end of the last core's tick in a round.
+  // Stops the per-tick clocks (bumping the clock epoch retires the other cores'
+  // already-scheduled ticks) and arms the sleeper-horizon event. Called at the end
+  // of the last core's tick in a round.
   void Suspend();
-  // Arms (or re-arms) the horizon event at the tick that will service the earliest
-  // live sleeper; no event if the sleep list is empty.
+  // Arms the horizon event, stamped with the current clock epoch, at the tick that
+  // will service the earliest live sleeper; no event if the sleep list is empty.
   void ArmHorizon();
   // Replays the accounting of one elided idle tick on `core_id`, exactly as the
   // skipped Tick would have charged it.
@@ -285,8 +289,9 @@ class Machine {
   // Replays all elided ticks at grid points in (accounted_through_, upto) — or
   // (..., upto] with `inclusive` — updating counters, charges, and scheduler state.
   void AccountSkippedTicks(TimePoint upto, bool inclusive);
-  // Settles catch-up strictly before `now` and restarts the per-core tick clocks at
-  // the next grid point. No-op unless suspended.
+  // Settles catch-up strictly before `now`, bumps the clock epoch (retiring the
+  // armed horizon) and restarts the per-core tick clocks at the next grid point.
+  // No-op unless suspended.
   void ResumeTicking();
 
   Simulator& sim_;
@@ -321,10 +326,12 @@ class Machine {
   uint64_t next_generation_ = 1;
 
   // Fast-forward state: the last tick grid point whose effects (real or replayed)
-  // are reflected in counters and accounting, and the armed sleeper-horizon event.
+  // are reflected in counters and accounting, and the clock epoch. Every Tick and
+  // horizon event carries the epoch it was armed in; Suspend and ResumeTicking bump
+  // it, so the events armed before either one pop as no-ops.
   TimePoint accounted_through_ = TimePoint::Origin();
   bool suspended_ = false;
-  EventId horizon_event_ = kInvalidEventId;
+  uint64_t clock_epoch_ = 0;
   int64_t idle_suspensions_ = 0;
   int64_t epoch_fences_ = 0;
 

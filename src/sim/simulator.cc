@@ -22,14 +22,14 @@ Cycles Simulator::UsedAllCpus(CpuUse category) const {
   return total;
 }
 
-EventId Simulator::ScheduleAt(TimePoint t, EventQueue::Callback fn) {
+void Simulator::ScheduleAt(TimePoint t, EventQueue::Callback fn) {
   RR_EXPECTS(t >= now_);
-  return events_.Push(t, std::move(fn));
+  events_.Push(t, std::move(fn));
 }
 
-EventId Simulator::ScheduleAfter(Duration d, EventQueue::Callback fn) {
+void Simulator::ScheduleAfter(Duration d, EventQueue::Callback fn) {
   RR_EXPECTS(d >= Duration::Zero());
-  return events_.Push(now_ + d, std::move(fn));
+  events_.Push(now_ + d, std::move(fn));
 }
 
 bool Simulator::Step() {

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "sim/cpu.h"
@@ -53,26 +52,24 @@ class Simulator {
   TraceRecorder& trace() { return trace_; }
   const TraceRecorder& trace() const { return trace_; }
 
-  // Schedules `fn` at absolute time `t` (must not be in the past).
-  EventId ScheduleAt(TimePoint t, EventQueue::Callback fn);
+  // Schedules `fn` at absolute time `t` (must not be in the past). A scheduled event
+  // cannot be cancelled: an owner that may retire it makes `fn` check a generation
+  // of its own and return without effect once that is stale.
+  void ScheduleAt(TimePoint t, EventQueue::Callback fn);
   // Schedules `fn` after `d` (must be non-negative).
-  EventId ScheduleAfter(Duration d, EventQueue::Callback fn);
-  bool Cancel(EventId id) { return events_.Cancel(id); }
-  // Retires `id` (if still pending) and schedules `fn` at `t` in one call — the
-  // decrease-key-free resched path for periodic clocks (dispatch ticks, timers).
-  EventId Resched(EventId id, TimePoint t, EventQueue::Callback fn) {
-    RR_EXPECTS(t >= now_);
-    return events_.Resched(id, t, std::move(fn));
-  }
+  void ScheduleAfter(Duration d, EventQueue::Callback fn);
 
-  // Runs a single event; returns false if none pending.
+  // Runs a single event (a retired one runs as a no-op); returns false if none
+  // pending.
   bool Step();
   // Runs all events with timestamps <= t, then sets the clock to t.
   void RunUntil(TimePoint t);
   void RunFor(Duration d) { RunUntil(now_ + d); }
 
+  // Events popped so far, retired ones included.
   uint64_t events_processed() const { return events_processed_; }
-  size_t pending_events() { return events_.PendingCount(); }
+  // Events scheduled and not yet popped, retired ones included.
+  size_t pending_events() const { return events_.PendingCount(); }
 
  private:
   TimePoint now_ = TimePoint::Origin();

@@ -2,6 +2,7 @@
 // charging, context-switch accounting.
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -318,6 +319,101 @@ TEST(MachineIdleFastForwardTest, ExternalWakeResumesSuspendedMachine) {
   EXPECT_FALSE(rig.machine->idle_suspended());
   rig.machine->RunFor(Duration::Millis(5));
   EXPECT_GT(consumer->total_cycles(), 0);
+}
+
+TEST(MachineIdleFastForwardTest, ClockEpochRetiresStaleTicksAndHorizons) {
+  // Suspend and ResumeTicking retire already-scheduled Tick and horizon events by
+  // bumping the machine's clock epoch, not by cancelling them. Two interleavings put
+  // retired events in the heap next to live ones:
+  //  - a wake within the interval after a suspension: core 0's retired tick and its
+  //    resumed tick sit at the same timestamp, and only one of them may run;
+  //  - a wake that pre-empts an armed horizon and leaves no sleeper behind: the
+  //    retired horizon must not resume the machine when its time comes.
+  // The outcome must match an eagerly ticking machine exactly.
+  struct Outcome {
+    uint64_t hash = 0;
+    std::vector<int64_t> ticks, dispatches;
+    std::vector<Cycles> used;
+    int64_t suspensions_after_cancel = 0;
+    int64_t suspensions_at_end = 0;
+  };
+  auto run = [](bool ff) {
+    constexpr int kCpus = 2;
+    Simulator sim(CpuConfig{}, kCpus);
+    ThreadRegistry threads;
+    QueueRegistry queues;
+    std::vector<std::unique_ptr<RbsScheduler>> rbs;
+    std::vector<Scheduler*> raw;
+    for (CpuId c = 0; c < kCpus; ++c) {
+      rbs.push_back(std::make_unique<RbsScheduler>(sim.cpu(c)));
+      raw.push_back(rbs.back().get());
+    }
+    Machine machine(sim, raw, threads,
+                    MachineConfig{.dispatch_interval = Duration::Millis(1),
+                                  .charge_overheads = true,
+                                  .idle_fast_forward = ff});
+    sim.trace().SetEnabled(true);
+    BoundedBuffer* qa = queues.CreateQueue("qa", 1'000);
+    BoundedBuffer* qb = queues.CreateQueue("qb", 1'000);
+    machine.Attach(qa);
+    machine.Attach(qb);
+    SimThread* a = threads.Create("a", std::make_unique<ConsumerWork>(qa, 1'000));
+    machine.Attach(a);
+    SimThread* b = threads.Create("b", std::make_unique<ConsumerWork>(qb, 1'000));
+    machine.Attach(b);
+    EXPECT_EQ(a->cpu(), 0);
+    EXPECT_EQ(b->cpu(), 1);
+    // b sleeps far ahead, so every suspension arms a horizon for it.
+    machine.SleepUntil(b, TimePoint::FromNanos(40'300'000));
+    machine.Start();
+
+    // a blocks at 1 ms; the 2 ms round is idle and suspends, leaving core 0's 3 ms
+    // tick retired in the heap. The wake at 2.4 ms re-arms both cores at 3 ms.
+    sim.RunUntil(TimePoint::FromNanos(2'400'000));
+    if (ff) {
+      EXPECT_TRUE(machine.idle_suspended());
+    }
+    qa->TryPush(100);
+
+    // a drains and blocks at 3 ms, the machine re-suspends at 4 ms with the horizon
+    // at 41 ms. Waking the sleeper itself at 10.7 ms pre-empts that horizon; b then
+    // blocks on its empty queue and the machine suspends with no sleeper at all.
+    sim.RunUntil(TimePoint::FromNanos(10'700'000));
+    machine.CancelSleep(b);
+    sim.RunUntil(TimePoint::FromNanos(12'500'000));
+    Outcome out;
+    out.suspensions_after_cancel = machine.idle_suspensions();
+    machine.RunFor(Duration::Micros(47'500));  // Past both retired horizons.
+    out.suspensions_at_end = machine.idle_suspensions();
+    if (ff) {
+      EXPECT_TRUE(machine.idle_suspended());
+    }
+    EXPECT_EQ(a->state(), ThreadState::kBlocked);
+    EXPECT_EQ(b->state(), ThreadState::kBlocked);
+    EXPECT_GT(a->total_cycles(), 0);
+
+    out.hash = sim.trace().Hash();
+    for (CpuId c = 0; c < kCpus; ++c) {
+      out.ticks.push_back(machine.ticks_on(c));
+      out.dispatches.push_back(machine.dispatches_on(c));
+      for (const CpuUse use :
+           {CpuUse::kIdle, CpuUse::kDispatch, CpuUse::kTimer, CpuUse::kUser}) {
+        out.used.push_back(sim.cpu(c).Used(use));
+      }
+    }
+    return out;
+  };
+  const Outcome fast = run(true);
+  const Outcome eager = run(false);
+  EXPECT_EQ(fast.hash, eager.hash);
+  EXPECT_EQ(fast.ticks, eager.ticks);
+  EXPECT_EQ(eager.ticks, (std::vector<int64_t>{60, 60}));
+  EXPECT_EQ(fast.dispatches, eager.dispatches);
+  EXPECT_EQ(fast.used, eager.used);
+  // Three suspensions (2, 4 and 12 ms), and the retired horizons at 41 ms resumed
+  // nothing.
+  EXPECT_EQ(fast.suspensions_after_cancel, 3);
+  EXPECT_EQ(fast.suspensions_at_end, fast.suspensions_after_cancel);
 }
 
 // Dispatch is sequential, so host_threads must be 1. The Machine rejects any other

@@ -34,99 +34,6 @@ TEST(EventQueueTest, EqualTimesAreFifo) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(EventQueueTest, CancelPreventsExecution) {
-  EventQueue q;
-  bool ran = false;
-  const EventId id = q.Push(At(10), [&] { ran = true; });
-  EXPECT_TRUE(q.Cancel(id));
-  EXPECT_TRUE(q.Empty());
-  EXPECT_FALSE(ran);
-}
-
-TEST(EventQueueTest, CancelUnknownIdIsFalse) {
-  EventQueue q;
-  EXPECT_FALSE(q.Cancel(kInvalidEventId));
-  EXPECT_FALSE(q.Cancel(999));
-}
-
-TEST(EventQueueTest, PeekTimeSkipsCancelled) {
-  EventQueue q;
-  const EventId early = q.Push(At(5), [] {});
-  q.Push(At(10), [] {});
-  q.Cancel(early);
-  EXPECT_EQ(q.PeekTime(), At(10));
-  EXPECT_EQ(q.PendingCount(), 1u);
-}
-
-TEST(EventQueueTest, CancelOfFiredIdIsRejected) {
-  // Regression: cancelling an already-fired id used to insert a tombstone that was
-  // never reclaimed (the id can never reach the heap top again). The contract says
-  // such a cancel is a no-op returning false — repeatedly, not just the first time.
-  EventQueue q;
-  const EventId id = q.Push(At(1), [] {});
-  q.Pop().fn();
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(q.Cancel(id));
-  }
-  // The queue is structurally empty again: a fresh push/pop cycle works and nothing
-  // lingers.
-  EXPECT_TRUE(q.Empty());
-  q.Push(At(2), [] {});
-  EXPECT_EQ(q.PendingCount(), 1u);
-}
-
-TEST(EventQueueTest, DoubleCancelReturnsFalseSecondTime) {
-  EventQueue q;
-  const EventId id = q.Push(At(1), [] {});
-  EXPECT_TRUE(q.Cancel(id));
-  EXPECT_FALSE(q.Cancel(id));
-  EXPECT_TRUE(q.Empty());
-}
-
-TEST(EventQueueTest, PendingCountExcludesCancelledBelowHeapTop) {
-  // Regression: PendingCount used to skim only the heap top, so a cancelled entry
-  // buried under a live earlier event was still counted.
-  EventQueue q;
-  q.Push(At(10), [] {});
-  const EventId buried = q.Push(At(20), [] {});
-  const EventId deeper = q.Push(At(30), [] {});
-  q.Cancel(buried);
-  EXPECT_EQ(q.PendingCount(), 2u);
-  q.Cancel(deeper);
-  EXPECT_EQ(q.PendingCount(), 1u);
-  EXPECT_EQ(q.PeekTime(), At(10));
-}
-
-TEST(EventQueueTest, ReschedMovesAnEventInOneCall) {
-  // The decrease-key-free resched path: retire the old entry by id, push a fresh
-  // one — moving a periodic clock later or earlier without a heap rebuild.
-  EventQueue q;
-  std::vector<int> order;
-  q.Push(At(10), [&] { order.push_back(10); });
-  q.Push(At(15), [&] { order.push_back(15); });
-  EventId clock = q.Resched(kInvalidEventId, At(20), [&] { order.push_back(20); });
-  clock = q.Resched(clock, At(5), [&] { order.push_back(5); });
-  EXPECT_EQ(q.PendingCount(), 3u);
-  while (!q.Empty()) {
-    q.Pop().fn();
-  }
-  EXPECT_EQ(order, (std::vector<int>{5, 10, 15}));
-}
-
-TEST(EventQueueTest, ReschedOfFiredIdStillSchedules) {
-  // The common race: the periodic clock already fired when its owner reschedules it.
-  EventQueue q;
-  bool first = false;
-  bool second = false;
-  const EventId id = q.Push(At(1), [&] { first = true; });
-  q.Pop().fn();
-  q.Resched(id, At(2), [&] { second = true; });
-  EXPECT_EQ(q.PendingCount(), 1u);
-  q.Pop().fn();
-  EXPECT_TRUE(first);
-  EXPECT_TRUE(second);
-}
-
 TEST(SimulatorTest, ClockAdvancesToEventTimes) {
   Simulator sim;
   std::vector<int64_t> seen;
